@@ -48,6 +48,7 @@ from .sessions import (
     Session,
     fit_normalizer,
     normalized_session,
+    offset_samples_for,
     speed_window_arrays,
     split_ranges,
     window_arrays,
@@ -200,28 +201,19 @@ def strategy_ranges(strategy: str, n_samples: int) -> tuple[range, range, range]
     return head_train, head_val, test
 
 
-def _fit_windows(session: Session, rng: range, offset_ms: int, test: range):
-    """Windows for fitting: inside ``rng``, shifted target anywhere in the
-    session except the test range."""
-    starts, x, y = window_arrays(session, rng, offset_ms)
-    targets = starts + WINDOW_LEN - 1 + _offset_samples(session, offset_ms)
-    keep = (targets < test.start) | (targets >= test.stop)
+def _split_windows(windows, rng: range, test: range, k: int, evaluate: bool = False):
+    """Windows of ``rng`` from the window source ``windows`` (range ->
+    (starts, x, y)) that obey the fitting or, with ``evaluate``, the
+    evaluation target rule of the module docstring, as (starts, x, y,
+    targets); ``k`` is the offset in samples. The unfiltered stacks are
+    freed on return."""
+    starts, x, y = windows(rng)
+    targets = starts + WINDOW_LEN - 1 + k
+    if evaluate:
+        keep = (targets >= test.start + WINDOW_LEN - 1) & (targets < test.stop)
+    else:
+        keep = (targets < test.start) | (targets >= test.stop)
     return starts[keep], x[keep], y[keep], targets[keep]
-
-
-def _eval_windows(session: Session, test: range, offset_ms: int):
-    """Windows for evaluation: inside the test range, and the shifted target
-    must itself be a valid decode time of the test range (so each |10 ms| of
-    shift removes exactly one window at the affected boundary)."""
-    starts, x, y = window_arrays(session, test, offset_ms)
-    targets = starts + WINDOW_LEN - 1 + _offset_samples(session, offset_ms)
-    keep = (targets >= test.start + WINDOW_LEN - 1) & (targets < test.stop)
-    return starts[keep], x[keep], y[keep], targets[keep]
-
-
-def _offset_samples(session: Session, offset_ms: int) -> int:
-    step_ms = 1000.0 / session.sample_rate_hz
-    return int(round(offset_ms / step_ms))
 
 
 def _prepare(session: Session, plan: ExperimentPlan) -> Session:
@@ -236,6 +228,34 @@ def _prepare(session: Session, plan: ExperimentPlan) -> Session:
     return prepared
 
 
+def _eeg_source(session: Session, plan: ExperimentPlan, normalizer: Normalizer | range):
+    """Window source over the session's EEG, prepared for ``plan`` and
+    normalized by ``normalizer``, or by one fit on the prepared session when
+    a range is given. Returns (windows, normalizer, normalizer fit range)."""
+    prep = _prepare(session, plan)
+    fit_range = range(0)
+    if isinstance(normalizer, range):
+        fit_range, normalizer = normalizer, fit_normalizer(prep, normalizer)
+    norm = normalized_session(prep, normalizer)
+    return (lambda rng: window_arrays(norm, rng, plan.offset_ms)), normalizer, fit_range
+
+
+def _speed_source(session: Session, plan: ExperimentPlan, fit_range: range):
+    """Window source over the speed trace itself, z-scored on ``fit_range``,
+    for the speed-history reference model."""
+    mu = float(np.mean(session.speed[fit_range.start : fit_range.stop]))
+    sd = max(float(np.std(session.speed[fit_range.start : fit_range.stop])), 1e-8)
+    z = (session.speed - mu) / sd
+
+    def windows(rng: range):
+        starts, x, y = speed_window_arrays(z, rng, plan.offset_ms, session.sample_rate_hz)
+        # targets come back as z[t]*sd + mu, not speed[t]: the two differ
+        # in the last bit, and training amplifies that
+        return starts, x, y * sd + mu
+
+    return windows, None, fit_range
+
+
 def _safe_r(pred: np.ndarray, actual: np.ndarray) -> float:
     """Pearson r, with a constant *prediction* scored as 0 (no measurable
     linear association). A constant actual trace is a data defect and
@@ -248,7 +268,7 @@ def _safe_r(pred: np.ndarray, actual: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-session runs
+# the unit of work
 
 
 @dataclass
@@ -261,82 +281,47 @@ class SingleRunOutput:
     wall_time_s: float
 
 
-def run_single_session(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
-    if plan.strategy not in ("single_80", "single_10"):
-        raise PlanError(f"run_single_session cannot execute strategy {plan.strategy!r}")
+def _run_unit(
+    session: Session,
+    plan: ExperimentPlan,
+    ranges: tuple[range, range, range],
+    normalizer: Normalizer | range,
+    fit,
+    seed: int,
+    source_id: str = "",
+    source=_eeg_source,
+) -> SingleRunOutput:
+    """The one unit of work behind every protocol: prepare, normalize,
+    window, fit, predict, score and audit.
+
+    ``ranges`` are the unit's (fit, early-stop, test) ranges on ``session``.
+    ``normalizer`` is used as given, or fit on the range given in its place
+    (and that range is then recorded as a fitting input). ``fit`` maps a
+    fresh decoder spec and featurized (x, y, x_val, y_val) to (decoder,
+    report); an already-trained Decoder in its place is only evaluated.
+    ``seed`` is the fresh spec's seed and the result row's.
+    """
     t0 = time.perf_counter()
-    prep = _prepare(session, plan)
-    fit_rng, val_rng, test_rng = strategy_ranges(plan.strategy, prep.n_samples)
-    normalizer = fit_normalizer(prep, fit_rng)
-    norm = normalized_session(prep, normalizer)
+    fit_rng, val_rng, test_rng = ranges
+    windows, normalizer, norm_range = source(session, plan, normalizer)
+    k = offset_samples_for(plan.offset_ms, session.sample_rate_hz)
+    fit_sets = [] if isinstance(fit, Decoder) else [
+        _split_windows(windows, rng, test_rng, k) for rng in (fit_rng, val_rng)
+    ]
+    s_te, x_te, y_te, t_te = _split_windows(windows, test_rng, test_rng, k, evaluate=True)
+    if s_te.size == 0 or (fit_sets and fit_sets[0][0].size == 0):
+        raise SplitError(f"session {session.id}: empty fit or test window set")
 
-    s_tr, x_tr, y_tr, t_tr = _fit_windows(norm, fit_rng, plan.offset_ms, test_rng)
-    s_va, x_va, y_va, t_va = _fit_windows(norm, val_rng, plan.offset_ms, test_rng)
-    s_te, x_te, y_te, t_te = _eval_windows(norm, test_rng, plan.offset_ms)
-    if s_tr.size == 0 or s_te.size == 0:
-        raise SplitError(f"session {session.id}: empty train or test window set")
-
-    seed_init = derive_seed(plan.master_seed, session.id, plan.cell_id, "init")
-    spec = replace(plan.decoder, n_channels=prep.n_channels, seed=seed_init)
-    fam = spec.family
-    xf_tr = featurize_batch(x_tr, fam)
-    xf_va = featurize_batch(x_va, fam)
-    xf_te = featurize_batch(x_te, fam)
-
-    report = None
-    if fam == "random_forest":
-        decoder = fit_forest_decoder(spec, xf_tr, y_tr)
-    else:
-        shuffle = derive_seed(plan.master_seed, session.id, plan.cell_id, "shuffle")
-        cfg = replace(plan.train, shuffle_seed=shuffle)
-        decoder, report = train(new_decoder(spec), xf_tr, y_tr, xf_va, y_va, cfg)
-
-    pred = decoder.predict_batch(xf_te)
-    if plan.clip_nonnegative:
-        pred = np.maximum(pred, 0.0)
-    result = EvalResult(
-        session_id=session.id,
-        rat_id=session.rat_id,
-        strategy=plan.strategy,
-        region_set=plan.region_label,
-        band=plan.band,
-        offset_ms=plan.offset_ms,
-        model=fam,
-        r=_safe_r(pred, y_te),
-        r2=r_squared(pred, y_te),
-        n_test_windows=int(s_te.size),
-        seed=seed_init,
-    )
-    hygiene = HygieneRecord(
-        session_id=session.id,
-        strategy=plan.strategy,
-        test_start=test_rng.start,
-        test_stop=test_rng.stop,
-        fit_input_indices=np.union1d(_input_indices(s_tr), _input_indices(s_va)),
-        fit_target_indices=np.union1d(t_tr, t_va),
-        test_input_indices=_input_indices(s_te),
-        test_target_indices=np.unique(t_te),
-    )
-    check_no_test_leakage(hygiene)
-    return SingleRunOutput(result, decoder, normalizer, report, hygiene, time.perf_counter() - t0)
-
-
-def evaluate_saved(
-    decoder: Decoder, normalizer: Normalizer, session: Session, plan: ExperimentPlan
-) -> EvalResult:
-    """Evaluate an already-trained decoder on a session's test segment. At
-    offset 0 this reproduces the training-time result row bitwise: same
-    preparation, windowing, metric code, and derived seed label."""
-    prep = _prepare(session, plan)
-    _, _, test_rng = strategy_ranges("single_80", prep.n_samples)
-    norm = normalized_session(prep, normalizer)
-    s_te, x_te, y_te, _ = _eval_windows(norm, test_rng, plan.offset_ms)
-    if s_te.size == 0:
-        raise SplitError(f"session {session.id}: empty test window set")
+    decoder, report = fit, None
+    if fit_sets:
+        (_, x_tr, y_tr, _), (_, x_va, y_va, _) = fit_sets
+        fam = plan.decoder.family
+        spec = replace(plan.decoder, n_channels=x_tr.shape[2], seed=seed)
+        decoder, report = fit(spec, featurize_batch(x_tr, fam), y_tr, featurize_batch(x_va, fam), y_va)
     pred = decoder.predict_batch(featurize_batch(x_te, decoder.spec.family))
     if plan.clip_nonnegative:
         pred = np.maximum(pred, 0.0)
-    return EvalResult(
+    result = EvalResult(
         session_id=session.id,
         rat_id=session.rat_id,
         strategy=plan.strategy,
@@ -347,8 +332,57 @@ def evaluate_saved(
         r=_safe_r(pred, y_te),
         r2=r_squared(pred, y_te),
         n_test_windows=int(s_te.size),
-        seed=derive_seed(plan.master_seed, session.id, plan.cell_id, "init"),
+        seed=seed,
+        source_id=source_id,
     )
+    empty = np.empty(0, dtype=np.int64)
+    hygiene = HygieneRecord(
+        session_id=session.id,
+        strategy=plan.strategy,
+        test_start=test_rng.start,
+        test_stop=test_rng.stop,
+        fit_input_indices=np.union1d(
+            _input_indices(np.concatenate([empty, *(f[0] for f in fit_sets)])),
+            np.arange(norm_range.start, norm_range.stop),
+        ),
+        fit_target_indices=np.unique(np.concatenate([empty, *(f[3] for f in fit_sets)])),
+        test_input_indices=_input_indices(s_te),
+        test_target_indices=np.unique(t_te),
+    )
+    check_no_test_leakage(hygiene)
+    return SingleRunOutput(result, decoder, normalizer, report, hygiene, time.perf_counter() - t0)
+
+
+def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str, source=_eeg_source):
+    """A unit that fits a fresh decoder, and its normalizer, on the session's
+    own fit range, with seeds derived from ``cell_id``."""
+    ranges = strategy_ranges(plan.strategy, session.n_samples)
+    cfg = replace(plan.train, shuffle_seed=derive_seed(plan.master_seed, session.id, cell_id, "shuffle"))
+
+    def fit(spec, x, y, x_val, y_val):
+        if spec.family == "random_forest":
+            return fit_forest_decoder(spec, x, y), None
+        return train(new_decoder(spec), x, y, x_val, y_val, cfg)
+
+    seed = derive_seed(plan.master_seed, session.id, cell_id, "init")
+    return _run_unit(session, plan, ranges, ranges[0], fit, seed, source=source)
+
+
+def run_single_session(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
+    if plan.strategy not in ("single_80", "single_10"):
+        raise PlanError(f"run_single_session cannot execute strategy {plan.strategy!r}")
+    return _train_unit(session, plan, plan.cell_id)
+
+
+def evaluate_saved(
+    decoder: Decoder, normalizer: Normalizer, session: Session, plan: ExperimentPlan
+) -> EvalResult:
+    """Evaluate an already-trained decoder on a session's test segment. At
+    offset 0 this reproduces the training-time result row bitwise: same
+    preparation, windowing, metric code, and derived seed label."""
+    ranges = strategy_ranges("single_80", session.n_samples)
+    seed = derive_seed(plan.master_seed, session.id, plan.cell_id, "init")
+    return _run_unit(session, plan, ranges, normalizer, decoder, seed).result
 
 
 # ---------------------------------------------------------------------------
@@ -402,117 +436,22 @@ class TransferOutput:
     n_evaluations: int
 
 
-def _evaluate_on_target(
-    decoder: Decoder,
-    source: Session,
-    source_norm: Normalizer,
-    target: Session,
-    plan: ExperimentPlan,
-) -> tuple[EvalResult, HygieneRecord]:
-    prep = _prepare(target, plan)
-    _, _, test_rng = strategy_ranges("single_80", prep.n_samples)
-    head = range(0, int(np.floor(prep.n_samples * 0.1)))
-    if plan.refit_normalizer:
-        normalizer = fit_normalizer(prep, head)
-        fit_inputs = np.arange(head.start, head.stop)
+def _transfer_unit(
+    source_id: str, decoder: Decoder, source_norm: Normalizer, target: Session, plan: ExperimentPlan
+) -> SingleRunOutput:
+    """One (source, target) pair: the source model scored on the target's
+    test segment, as is or after head-only fine-tuning on its first 10%.
+    Either may first refit the normalizer on that first 10%."""
+    ranges = strategy_ranges(plan.strategy, target.n_samples)
+    head = range(0, int(np.floor(target.n_samples * 0.1)))
+    if plan.strategy.startswith("finetune"):
+        seed = derive_seed(plan.master_seed, f"{source_id}->{target.id}", plan.cell_id, "finetune")
+        cfg = replace(plan.train, freeze_body=True, shuffle_seed=seed)
+        refit, fit = plan.refresh_normalizer, lambda spec, *data: fine_tune(decoder, *data, cfg)
     else:
-        normalizer = source_norm
-        fit_inputs = np.empty(0, dtype=np.int64)
-    norm = normalized_session(prep, normalizer)
-    s_te, x_te, y_te, t_te = _eval_windows(norm, test_rng, plan.offset_ms)
-    if s_te.size == 0:
-        raise SplitError(f"target {target.id}: empty test window set")
-    pred = decoder.predict_batch(featurize_batch(x_te, plan.decoder.family))
-    if plan.clip_nonnegative:
-        pred = np.maximum(pred, 0.0)
-    result = EvalResult(
-        session_id=target.id,
-        rat_id=target.rat_id,
-        strategy=plan.strategy,
-        region_set=plan.region_label,
-        band=plan.band,
-        offset_ms=plan.offset_ms,
-        model=plan.decoder.family,
-        r=_safe_r(pred, y_te),
-        r2=r_squared(pred, y_te),
-        n_test_windows=int(s_te.size),
-        seed=derive_seed(plan.master_seed, target.id, plan.cell_id, "eval"),
-        source_id=source.id,
-    )
-    hygiene = HygieneRecord(
-        session_id=target.id,
-        strategy=plan.strategy,
-        test_start=test_rng.start,
-        test_stop=test_rng.stop,
-        fit_input_indices=fit_inputs,
-        fit_target_indices=np.empty(0, dtype=np.int64),
-        test_input_indices=_input_indices(s_te),
-        test_target_indices=np.unique(t_te),
-    )
-    check_no_test_leakage(hygiene)
-    return result, hygiene
-
-
-def _finetune_on_target(
-    source_decoder: Decoder,
-    source: Session,
-    source_norm: Normalizer,
-    target: Session,
-    plan: ExperimentPlan,
-) -> tuple[EvalResult, HygieneRecord]:
-    prep = _prepare(target, plan)
-    ft_rng, val_rng, test_rng = strategy_ranges(plan.strategy, prep.n_samples)
-    normalizer = fit_normalizer(prep, ft_rng) if plan.refresh_normalizer else source_norm
-    norm = normalized_session(prep, normalizer)
-    s_ft, x_ft, y_ft, t_ft = _fit_windows(norm, ft_rng, plan.offset_ms, test_rng)
-    s_va, x_va, y_va, t_va = _fit_windows(norm, val_rng, plan.offset_ms, test_rng)
-    s_te, x_te, y_te, t_te = _eval_windows(norm, test_rng, plan.offset_ms)
-    if s_ft.size == 0 or s_te.size == 0:
-        raise SplitError(f"target {target.id}: empty fine-tune or test window set")
-
-    fam = plan.decoder.family
-    shuffle = derive_seed(plan.master_seed, f"{source.id}->{target.id}", plan.cell_id, "finetune")
-    cfg = replace(plan.train, freeze_body=True, shuffle_seed=shuffle)
-    tuned, _ = fine_tune(
-        source_decoder,
-        featurize_batch(x_ft, fam),
-        y_ft,
-        featurize_batch(x_va, fam),
-        y_va,
-        cfg,
-    )
-    pred = tuned.predict_batch(featurize_batch(x_te, fam))
-    if plan.clip_nonnegative:
-        pred = np.maximum(pred, 0.0)
-    result = EvalResult(
-        session_id=target.id,
-        rat_id=target.rat_id,
-        strategy=plan.strategy,
-        region_set=plan.region_label,
-        band=plan.band,
-        offset_ms=plan.offset_ms,
-        model=fam,
-        r=_safe_r(pred, y_te),
-        r2=r_squared(pred, y_te),
-        n_test_windows=int(s_te.size),
-        seed=shuffle,
-        source_id=source.id,
-    )
-    norm_inputs = np.arange(ft_rng.start, ft_rng.stop) if plan.refresh_normalizer else np.empty(0, dtype=np.int64)
-    hygiene = HygieneRecord(
-        session_id=target.id,
-        strategy=plan.strategy,
-        test_start=test_rng.start,
-        test_stop=test_rng.stop,
-        fit_input_indices=np.union1d(
-            np.union1d(_input_indices(s_ft), _input_indices(s_va)), norm_inputs
-        ),
-        fit_target_indices=np.union1d(t_ft, t_va),
-        test_input_indices=_input_indices(s_te),
-        test_target_indices=np.unique(t_te),
-    )
-    check_no_test_leakage(hygiene)
-    return result, hygiene
+        seed = derive_seed(plan.master_seed, target.id, plan.cell_id, "eval")
+        refit, fit = plan.refit_normalizer, decoder
+    return _run_unit(target, plan, ranges, head if refit else source_norm, fit, seed, source_id)
 
 
 def _aggregate_per_target(pair_results: list[EvalResult], plan: ExperimentPlan) -> list[EvalResult]:
@@ -542,38 +481,18 @@ def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -
     pairs = transfer_pairs(sessions, plan.strategy)
     sources = sorted({src.id for src, _ in pairs})
     by_id = {s.id: s for s in sessions}
-
+    out = ExperimentOutput([], [], [])
     source_plan = replace(plan, strategy="single_80")
-    fine_tuning = plan.strategy.startswith("finetune")
-    timings: list[tuple[str, float]] = []
-    hygiene: list[HygieneRecord] = []
-    models: dict[str, tuple[Decoder, Normalizer]] = {}
-    outs = _map_jobs(_train_source_job, [(by_id[sid], source_plan) for sid in sources], jobs)
-    for sid, out in zip(sources, outs):
-        models[sid] = (out.decoder, out.normalizer)
-        hygiene.append(out.hygiene)
-        timings.append((f"train:{sid}:{plan.cell_id}", out.wall_time_s))
-
-    pair_results: list[EvalResult] = []
+    units = [(sid, (by_id[sid], source_plan)) for sid in sources]
+    runs = _map_jobs(out, "train", plan.cell_id, run_single_session, units, jobs)
+    models = {sid: (run.decoder, run.normalizer) for sid, run in zip(sources, runs)}
+    # pairs run here one at a time, so each tuned decoder is freed before the next
     for src, tgt in pairs:
-        t0 = time.perf_counter()
-        decoder, source_norm = models[src.id]
-        if fine_tuning:
-            res, rec = _finetune_on_target(decoder, src, source_norm, tgt, plan)
-        else:
-            res, rec = _evaluate_on_target(decoder, src, source_norm, tgt, plan)
-        pair_results.append(res)
-        hygiene.append(rec)
-        timings.append((f"pair:{src.id}->{tgt.id}:{plan.cell_id}", time.perf_counter() - t0))
-
-    expected = expected_evaluation_count(
-        [len([s for s in sessions if s.rat_id == rid]) for rid in sorted({s.rat_id for s in sessions})],
-        plan.strategy,
-    )
-    if len(pair_results) != expected:
-        raise PlanError(f"evaluation count {len(pair_results)} != formula {expected}")
+        unit = (f"{src.id}->{tgt.id}", (src.id, *models[src.id], tgt, plan))
+        _map_jobs(out, "pair", plan.cell_id, _transfer_unit, [unit], 1)
+    pair_results = out.results[len(sources) :]
     aggregated = _aggregate_per_target(pair_results, plan)
-    return TransferOutput(pair_results, aggregated, hygiene, timings, len(pair_results))
+    return TransferOutput(pair_results, aggregated, out.hygiene, out.timings, len(pair_results))
 
 
 # ---------------------------------------------------------------------------
@@ -589,25 +508,28 @@ class ExperimentOutput:
     band_energies: list[tuple[str, str, float]] = field(default_factory=list)
 
 
-def _train_source_job(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
-    return run_single_session(session, plan)
-
-
-def _map_jobs(worker, arg_tuples, jobs: int):
-    if jobs <= 1 or len(arg_tuples) <= 1:
-        return [worker(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        futures = [ex.submit(worker, *args) for args in arg_tuples]
-        return [f.result() for f in futures]
+def _map_jobs(out: ExperimentOutput, kind: str, cell_id: str, worker, units, jobs: int):
+    """Run ``worker(*args)`` for each ``(unit_id, args)`` of ``units`` over
+    ``jobs`` worker processes (here when 1), and record each unit's result,
+    hygiene record and ``kind:unit_id:cell_id`` timing in ``out``, in unit
+    order. Returns the runs."""
+    if jobs <= 1 or len(units) <= 1:
+        runs = [worker(*args) for _, args in units]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
+            futures = [ex.submit(worker, *args) for _, args in units]
+            runs = [f.result() for f in futures]
+    for (unit_id, _), run in zip(units, runs):
+        out.results.append(run.result)
+        out.hygiene.append(run.hygiene)
+        out.timings.append((f"{kind}:{unit_id}:{cell_id}", run.wall_time_s))
+    return runs
 
 
 def run_baseline(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -> ExperimentOutput:
     out = ExperimentOutput([], [], [])
-    runs = _map_jobs(_train_source_job, [(s, plan) for s in sessions], jobs)
-    for session, run in zip(sessions, runs):
-        out.results.append(run.result)
-        out.hygiene.append(run.hygiene)
-        out.timings.append((f"single:{session.id}:{plan.cell_id}", run.wall_time_s))
+    units = [(s.id, (s, plan)) for s in sessions]
+    _map_jobs(out, "single", plan.cell_id, run_single_session, units, jobs)
     return out
 
 
@@ -629,17 +551,13 @@ def run_region_analysis(
     out = ExperimentOutput([], [], [])
     for cell in region_cells(include_pairs):
         cell_plan = replace(plan, region_set=cell)
-        runnable = []
+        units = []
         for s in sessions:
             if any(r in cell for r in s.region_map):
-                runnable.append(s)
+                units.append((s.id, (s, cell_plan)))
             else:
                 out.skipped.append((s.id, cell_plan.region_label))
-        runs = _map_jobs(_train_source_job, [(s, cell_plan) for s in runnable], jobs)
-        for session, run in zip(runnable, runs):
-            out.results.append(run.result)
-            out.hygiene.append(run.hygiene)
-            out.timings.append((f"region:{session.id}:{cell_plan.cell_id}", run.wall_time_s))
+        _map_jobs(out, "region", cell_plan.cell_id, run_single_session, units, jobs)
     return out
 
 
@@ -652,45 +570,17 @@ def run_band_analysis(
     out = ExperimentOutput([], [], [])
     for band_name in bands:
         band_plan = replace(plan, band=band_name)
-        runs = _map_jobs(_train_source_job, [(s, band_plan) for s in sessions], jobs)
-        for session, run in zip(sessions, runs):
-            out.results.append(run.result)
-            out.hygiene.append(run.hygiene)
-            out.timings.append((f"band:{session.id}:{band_plan.cell_id}", run.wall_time_s))
-            isolated = band_isolate(session, band(band_name))
-            out.band_energies.append(
-                (session.id, band_name, float(np.mean(np.var(isolated.eeg, axis=1))))
-            )
+        units = [(s.id, (s, band_plan)) for s in sessions]
+        _map_jobs(out, "band", band_plan.cell_id, run_single_session, units, jobs)
+        for s in sessions:
+            energy = float(np.mean(np.var(band_isolate(s, band(band_name)).eeg, axis=1)))
+            out.band_energies.append((s.id, band_name, energy))
     return out
 
 
-def _speed_rnn_job(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
-    """Speed-history reference model: same windowing and splits, but the
-    input is the (train-normalized) past speed trace itself."""
-    t0 = time.perf_counter()
-    fit_rng, val_rng, test_rng = strategy_ranges("single_80", session.n_samples)
-    mu = float(np.mean(session.speed[fit_rng.start : fit_rng.stop]))
-    sd = float(np.std(session.speed[fit_rng.start : fit_rng.stop]))
-    sd = max(sd, 1e-8)
-    z = (session.speed - mu) / sd
-
-    def _take(rng_: range, eval_mode: bool):
-        starts, x, y = speed_window_arrays(z, rng_, plan.offset_ms, session.sample_rate_hz)
-        targets = starts + WINDOW_LEN - 1 + _offset_samples(session, plan.offset_ms)
-        if eval_mode:
-            keep = (targets >= rng_.start + WINDOW_LEN - 1) & (targets < rng_.stop)
-        else:
-            keep = (targets < test_rng.start) | (targets >= test_rng.stop)
-        # targets were taken from the z-scored trace; undo for raw-speed fit
-        return starts[keep], x[keep], y[keep] * sd + mu, targets[keep]
-
-    s_tr, x_tr, y_tr, t_tr = _take(fit_rng, False)
-    s_va, x_va, y_va, t_va = _take(val_rng, False)
-    s_te, x_te, y_te, t_te = _take(test_rng, True)
-    if s_tr.size == 0 or s_te.size == 0:
-        raise SplitError(f"session {session.id}: empty speed_rnn window set")
-
-    seed_init = derive_seed(plan.master_seed, session.id, plan.cell_id, "init")
+def _speed_reference(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
+    """Speed-history reference model: the splits, windowing and seeds of
+    ``plan``'s EEG decoder unit, but the input is the past speed trace."""
     spec = DecoderSpec(
         family="speed_rnn",
         n_channels=1,
@@ -698,39 +588,9 @@ def _speed_rnn_job(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
         lstm_hidden=plan.decoder.lstm_hidden,
         head_hidden=plan.decoder.head_hidden,
         dropout=plan.decoder.dropout,
-        seed=seed_init,
     )
-    shuffle = derive_seed(plan.master_seed, session.id, plan.cell_id, "shuffle")
-    cfg = replace(plan.train, shuffle_seed=shuffle)
-    decoder, report = train(new_decoder(spec), x_tr, y_tr, x_va, y_va, cfg)
-    pred = decoder.predict_batch(x_te)
-    if plan.clip_nonnegative:
-        pred = np.maximum(pred, 0.0)
-    result = EvalResult(
-        session_id=session.id,
-        rat_id=session.rat_id,
-        strategy="single_80",
-        region_set="all",
-        band=plan.band,
-        offset_ms=plan.offset_ms,
-        model="speed_rnn",
-        r=_safe_r(pred, y_te),
-        r2=r_squared(pred, y_te),
-        n_test_windows=int(s_te.size),
-        seed=seed_init,
-    )
-    hygiene = HygieneRecord(
-        session_id=session.id,
-        strategy="single_80",
-        test_start=test_rng.start,
-        test_stop=test_rng.stop,
-        fit_input_indices=np.union1d(_input_indices(s_tr), _input_indices(s_va)),
-        fit_target_indices=np.union1d(t_tr, t_va),
-        test_input_indices=_input_indices(s_te),
-        test_target_indices=np.unique(t_te),
-    )
-    check_no_test_leakage(hygiene)
-    return SingleRunOutput(result, decoder, None, report, hygiene, time.perf_counter() - t0)
+    speed_plan = replace(plan, decoder=spec, region_set=())
+    return _train_unit(session, speed_plan, plan.cell_id, _speed_source)
 
 
 def autocorrelation_results(session: Session, max_lag_ms: int = AUTOCORR_MAX_LAG_MS) -> list[EvalResult]:
@@ -775,19 +635,10 @@ def run_offset_analysis(
     out = ExperimentOutput([], [], [])
     for offset in offsets_ms:
         off_plan = replace(plan, strategy="single_80", offset_ms=offset)
-        runs = _map_jobs(_train_source_job, [(s, off_plan) for s in sessions], jobs)
-        for session, run in zip(sessions, runs):
-            out.results.append(run.result)
-            out.hygiene.append(run.hygiene)
-            out.timings.append((f"offset:{session.id}:{off_plan.cell_id}", run.wall_time_s))
+        units = [(s.id, (s, off_plan)) for s in sessions]
+        _map_jobs(out, "offset", off_plan.cell_id, run_single_session, units, jobs)
         if include_speed_rnn:
-            runs = _map_jobs(_speed_rnn_job, [(s, off_plan) for s in sessions], jobs)
-            for session, run in zip(sessions, runs):
-                out.results.append(run.result)
-                out.hygiene.append(run.hygiene)
-                out.timings.append(
-                    (f"offset_speed:{session.id}:{off_plan.cell_id}", run.wall_time_s)
-                )
+            _map_jobs(out, "offset_speed", off_plan.cell_id, _speed_reference, units, jobs)
     if include_autocorrelation:
         for session in sessions:
             out.results.extend(autocorrelation_results(session))

@@ -207,7 +207,7 @@ def spectra_csv_text(sessions, config_hash: str = "", seed: int = 0) -> str:
                         _fmt(float(f)),
                         _fmt(float(agg.mean[d, j])),
                         _fmt(float(agg.sem[d, j])),
-                        str(agg.n_sessions),
+                        str(int(agg.n_sessions[d])),
                     ]
                 )
             )

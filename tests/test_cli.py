@@ -182,6 +182,31 @@ def test_experiment_same_seed_is_bitwise_idempotent(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "overrides, tables",
+    [
+        ({}, ("results.csv",)),
+        (
+            {"experiment__kind": "transfer", "plan__strategy": "finetune_cross_subject"},
+            ("results.csv", "results_pairs.csv"),
+        ),
+    ],
+)
+def test_experiment_jobs_2_matches_jobs_1_bitwise(tmp_path, overrides, tables):
+    cfg = write_cfg(
+        tmp_path,
+        dataset__synthetic__n_rats="2",
+        dataset__synthetic__sessions_per_rat="2",
+        dataset__synthetic__duration_s="20.0",
+        **overrides,
+    )
+    outs = {jobs: tmp_path / f"j{jobs}" for jobs in (1, 2)}
+    for jobs, out in outs.items():
+        assert entrypoint(["experiment", "--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]) == 0
+    for name in tables:
+        assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes()
+
+
 def test_experiment_never_mutates_input_files(ten_session_dir, tmp_path):
     paths = sorted(ten_session_dir.glob("*.bin"))
     before = [p.read_bytes() for p in paths]

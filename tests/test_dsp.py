@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from locodec import dsp
 from locodec.errors import DegenerateDataError, FilterDesignError
+from locodec.reporting import spectra_csv_text
 
 from conftest import make_session
 
@@ -280,6 +281,19 @@ def test_aggregate_mean_and_sem():
         np.testing.assert_allclose(
             agg.sem[d], rows.std(axis=0, ddof=1) / np.sqrt(len(rows)), atol=1e-15
         )
+
+
+def test_spectra_csv_gives_each_decile_its_own_session_count():
+    # a constant-speed session adds to decile 1 only, so the counts differ
+    sessions = [_ramp_speed_session(3000, seed=i, session_id=f"s{i}") for i in range(3)]
+    sessions.append(make_session(n_samples=3000, seed=9, speed=np.full(3000, 2.0), session_id="flat"))
+    agg = dsp.aggregate_decile_spectra([dsp.speed_decile_spectra(s) for s in sessions])
+    rows = [ln.split(",") for ln in spectra_csv_text(sessions).splitlines()[2:]]
+    counts = {}
+    for row in rows:
+        counts.setdefault(int(row[0]), set()).add(row[4])
+    assert counts == {d + 1: {str(n)} for d, n in enumerate(agg.n_sessions) if n > 0}
+    assert len({n for (n,) in counts.values()}) > 1
 
 
 # ---------------------------------------------------------------------------

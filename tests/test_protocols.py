@@ -20,8 +20,7 @@ from locodec.protocols import (
     EvalResult,
     ExperimentPlan,
     HygieneRecord,
-    _eval_windows,
-    _fit_windows,
+    _split_windows,
     autocorrelation_results,
     check_no_test_leakage,
     derive_seed,
@@ -38,7 +37,7 @@ from locodec.protocols import (
     timings_to_csv_text,
     transfer_pairs,
 )
-from locodec.sessions import REGIONS, WINDOW_LEN, split_ranges
+from locodec.sessions import REGIONS, WINDOW_LEN, offset_samples_for, split_ranges, window_arrays
 from locodec.stats import r_squared
 from locodec.synthetic import FleetSpec, generate_synthetic_fleet
 from locodec.trainer import TrainConfig
@@ -123,12 +122,18 @@ def _norm_session():
     return s
 
 
+def _windows_of(session, rng, test, offset_ms, evaluate=False):
+    source = lambda r: window_arrays(session, r, offset_ms)  # noqa: E731
+    k = offset_samples_for(offset_ms, session.sample_rate_hz)
+    return _split_windows(source, rng, test, k, evaluate=evaluate)
+
+
 @pytest.mark.parametrize("offset_ms", [-500, -100, 0, 100, 500])
 def test_eval_window_trimming_is_exact(offset_ms):
     session = _norm_session()
     _, _, test = split_ranges(session.n_samples)
-    starts0, _, _, targets0 = _eval_windows(session, test, 0)
-    starts, _, _, targets = _eval_windows(session, test, offset_ms)
+    starts0, _, _, targets0 = _windows_of(session, test, test, 0, evaluate=True)
+    starts, _, _, targets = _windows_of(session, test, test, offset_ms, evaluate=True)
     lost = abs(offset_ms) // 10
     assert starts.size == starts0.size - lost
     assert np.all(targets >= test.start + WINDOW_LEN - 1)
@@ -142,7 +147,7 @@ def test_fit_windows_never_target_the_test_range(offset_ms):
     session = _norm_session()
     fit, val, test = split_ranges(session.n_samples)
     for rng in (fit, val):
-        starts, x, y, targets = _fit_windows(session, rng, offset_ms, test)
+        starts, x, y, targets = _windows_of(session, rng, test, offset_ms)
         assert starts.size > 0
         assert not np.any((targets >= test.start) & (targets < test.stop))
         assert x.shape[1:] == (WINDOW_LEN, session.n_channels)
@@ -185,6 +190,39 @@ def test_leakage_detects_fit_target_in_test_range():
 def test_leakage_detects_eval_escaping_test_range():
     with pytest.raises(LeakageError, match="leave the test range"):
         check_no_test_leakage(_record(test_target_indices=np.array([150, 205])))
+
+
+@pytest.mark.parametrize(
+    "strategy, refit",
+    [
+        ("single_80", True),
+        ("single_10", True),
+        ("zeroshot_cross_session", True),
+        ("zeroshot_cross_session", False),
+        ("finetune_cross_session", True),
+    ],
+)
+def test_hygiene_records_the_normalizer_fit_range(strategy, refit):
+    # A normalizer fit on the session is a fitted quantity: its range must
+    # be audited like training inputs. A reused source normalizer fits
+    # nothing on the target, so a zero-shot unit then records no inputs.
+    sessions = tiny_fleet(n_rats=1, sessions_per_rat=2, duration_s=30.0)
+    plan = ExperimentPlan(
+        decoder=LIN, train=FAST, strategy=strategy, refit_normalizer=refit, refresh_normalizer=refit
+    )
+    n = sessions[0].n_samples
+    if strategy.startswith("single"):
+        records = [run_single_session(sessions[0], plan).hygiene]
+        norm_range = strategy_ranges(strategy, n)[0]
+    else:
+        records = run_transfer(sessions, plan).hygiene[len(sessions) :]  # the pair units
+        norm_range = strategy_ranges("single_10", n)[0]
+    assert len(records) >= 1
+    for rec in records:
+        if refit:
+            assert np.isin(np.arange(norm_range.start, norm_range.stop), rec.fit_input_indices).all()
+        else:
+            assert rec.fit_input_indices.size == 0
 
 
 # ---------------------------------------------------------------------------
