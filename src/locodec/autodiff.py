@@ -153,9 +153,13 @@ def tanh(a: Tensor) -> Tensor:
     return _node(data, (a,), backward_fn)
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function computed via the tanh identity for stability."""
-    data = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    data = _sigmoid(a.data)
 
     def backward_fn(g):
         _accum(a, g * data * (1.0 - data))
@@ -261,6 +265,69 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accum(b, g.sum(axis=0))
 
     return _node(data, (x, w, b), backward_fn)
+
+
+def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """Final hidden state (N, H) of a single-layer LSTM run from zero state
+    over the data ``x`` (N, T, C). Gates are packed [input, forget, cell,
+    output] along the 4H columns of wx (C, 4H), wh (H, 4H) and b (4H,).
+
+    One node with hand-written backpropagation through time in place of
+    about 15 nodes per step. Every float operation matches the composite
+    matmul/add/narrow/sigmoid/tanh/mul graph it replaces, and so does the
+    order in which the steps' gradients reach wx, wh and b (last step
+    first), so values and gradients are bitwise the same. ``x`` is data and
+    gets no gradient.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    hdim = wh.data.shape[0]
+    if (
+        x.ndim != 3
+        or wx.data.shape != (x.shape[2], 4 * hdim)
+        or wh.data.shape != (hdim, 4 * hdim)
+        or b.data.shape != (4 * hdim,)
+    ):
+        raise ShapeError(
+            f"lstm_sequence: incompatible shapes x {x.shape}, wx {wx.data.shape}, "
+            f"wh {wh.data.shape}, b {b.data.shape}"
+        )
+    n, t_len, _ = x.shape
+    h = np.zeros((n, hdim))
+    c = np.zeros((n, hdim))
+    steps = []
+    for t in range(t_len):
+        gates = (x[:, t, :] @ wx.data + h @ wh.data) + b.data
+        # gate slices are copied, as narrow() does, so the activations run
+        # on the same contiguous layout as in the composite graph
+        i_g = _sigmoid(gates[:, :hdim].copy())
+        f_g = _sigmoid(gates[:, hdim : 2 * hdim].copy())
+        g_g = np.tanh(gates[:, 2 * hdim : 3 * hdim].copy())
+        o_g = _sigmoid(gates[:, 3 * hdim :].copy())
+        c_prev, h_prev = c, h
+        c = f_g * c_prev + i_g * g_g
+        tc = np.tanh(c)
+        h = o_g * tc
+        steps.append((h_prev, c_prev, i_g, f_g, g_g, o_g, tc))
+
+    def backward_fn(gh):
+        dc_next = None
+        for t in range(t_len - 1, -1, -1):
+            h_prev, c_prev, i_g, f_g, g_g, o_g, tc = steps[t]
+            dc = gh * o_g * (1.0 - tc * tc)
+            if dc_next is not None:
+                dc = dc + dc_next
+            dc_next = dc * f_g
+            dgates = np.empty((n, 4 * hdim))
+            dgates[:, :hdim] = dc * g_g * i_g * (1.0 - i_g)
+            dgates[:, hdim : 2 * hdim] = dc * c_prev * f_g * (1.0 - f_g)
+            dgates[:, 2 * hdim : 3 * hdim] = dc * i_g * (1.0 - g_g * g_g)
+            dgates[:, 3 * hdim :] = gh * tc * o_g * (1.0 - o_g)
+            _accum(b, _unbroadcast(dgates, b.data.shape))
+            _accum(wx, x[:, t, :].T @ dgates)
+            _accum(wh, h_prev.T @ dgates)
+            gh = dgates @ wh.data.T
+
+    return _node(h, (wx, wh, b), backward_fn)
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

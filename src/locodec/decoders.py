@@ -242,21 +242,7 @@ class Decoder:
 
     def _forward_lstm(self, x3d: np.ndarray, rng) -> ad.Tensor:
         p = self.params
-        n, t_len, _ = x3d.shape
-        hdim = self.spec.lstm_hidden
-        h = ad.constant(np.zeros((n, hdim)))
-        c = ad.constant(np.zeros((n, hdim)))
-        for t in range(t_len):
-            gates = ad.add(
-                ad.add(ad.matmul(ad.constant(x3d[:, t, :]), p["body.wx"]), ad.matmul(h, p["body.wh"])),
-                p["body.b"],
-            )
-            i_g = ad.sigmoid(ad.narrow(gates, 1, 0, hdim))
-            f_g = ad.sigmoid(ad.narrow(gates, 1, hdim, 2 * hdim))
-            g_g = ad.tanh(ad.narrow(gates, 1, 2 * hdim, 3 * hdim))
-            o_g = ad.sigmoid(ad.narrow(gates, 1, 3 * hdim, 4 * hdim))
-            c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-            h = ad.mul(o_g, ad.tanh(c))
+        h = ad.lstm_sequence(x3d, p["body.wx"], p["body.wh"], p["body.b"])
         h = _dropout(h, self.spec.dropout, rng)
         return _mlp_head(h, p, "head", self.spec.head_hidden, self.spec.dropout, rng)
 

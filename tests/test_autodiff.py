@@ -180,6 +180,67 @@ def test_gradcheck_lstm_cell_unrolled_20_steps():
     assert report.n_checked >= 50
 
 
+def _lstm_params(rng, cin, hid):
+    wx = ad.parameter(rng.normal(size=(cin, 4 * hid)) * 0.3, "wx")
+    wh = ad.parameter(rng.normal(size=(hid, 4 * hid)) * 0.3, "wh")
+    bias = ad.parameter(rng.normal(size=4 * hid) * 0.1, "b")
+    w_out = ad.parameter(rng.normal(size=(hid, 1)) * 0.3, "w_out")
+    return [wx, wh, bias, w_out]
+
+
+def _composite_lstm(x, wx, wh, bias):
+    """The per-step graph that lstm_sequence fuses."""
+    n, t_len, _ = x.shape
+    hid = wh.data.shape[0]
+    h = ad.constant(np.zeros((n, hid)))
+    c = ad.constant(np.zeros((n, hid)))
+    for t in range(t_len):
+        z = ad.add(ad.add(ad.matmul(ad.constant(x[:, t, :]), wx), ad.matmul(h, wh)), bias)
+        i = ad.sigmoid(ad.narrow(z, 1, 0, hid))
+        f = ad.sigmoid(ad.narrow(z, 1, hid, 2 * hid))
+        g = ad.tanh(ad.narrow(z, 1, 2 * hid, 3 * hid))
+        o = ad.sigmoid(ad.narrow(z, 1, 3 * hid, 4 * hid))
+        c = ad.add(ad.mul(f, c), ad.mul(i, g))
+        h = ad.mul(o, ad.tanh(c))
+    return h
+
+
+@pytest.mark.parametrize("n, t_len, cin, hid", [(1, 1, 1, 1), (5, 20, 3, 6), (32, 20, 32, 64), (7, 4, 1, 32)])
+def test_lstm_sequence_matches_the_composite_graph_bitwise(n, t_len, cin, hid):
+    rng = RNG(n * 1000 + t_len)
+    x = rng.normal(size=(n, t_len, cin))
+    y = ad.constant(rng.normal(size=(n, 1)))
+    runs = []
+    for lstm in (_composite_lstm, ad.lstm_sequence):
+        params = _lstm_params(RNG(hid), cin, hid)
+        h = lstm(x, *params[:3])
+        ad.backward(ad.mse(ad.matmul(h, params[3]), y), params)
+        runs.append((h.data, [p.grad for p in params]))
+    (h_ref, g_ref), (h_fused, g_fused) = runs
+    assert h_fused.tobytes() == h_ref.tobytes()
+    for got, want in zip(g_fused, g_ref):
+        assert np.array_equal(got, want)
+
+
+def test_gradcheck_lstm_sequence():
+    rng = RNG(13)
+    params = _lstm_params(rng, 3, 6)
+    x = rng.normal(size=(4, 20, 3))
+    target = ad.constant(rng.normal(size=(4, 1)))
+
+    def build():
+        return ad.mse(ad.matmul(ad.lstm_sequence(x, *params[:3]), params[3]), target)
+
+    report = ad.gradcheck(build, params, n_samples=60, tolerance=1e-4)
+    assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+
+
+def test_lstm_sequence_rejects_mismatched_shapes():
+    wx, wh, bias, _ = _lstm_params(RNG(14), 3, 6)
+    with pytest.raises(ShapeError):
+        ad.lstm_sequence(np.zeros((2, 5, 4)), wx, wh, bias)
+
+
 def test_gradcheck_flags_corrupted_rule():
     """Negative control: a wrong backward rule must be reported as a failure."""
     x = ad.parameter(RNG(10).normal(size=7) + 2.0, "x")
