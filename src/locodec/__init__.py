@@ -113,8 +113,4 @@ from .protocols import (
     transfer_pairs,
 )
 
-from ._blas import cap_blas_threads as _cap_blas_threads
-
 __version__ = "0.1.0"
-
-_cap_blas_threads()

@@ -268,29 +268,21 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Final hidden state (N, H) of a single-layer LSTM run from zero state
-    over the data ``x`` (N, T, C). Gates are packed [input, forget, cell,
-    output] along the 4H columns of wx (C, 4H), wh (H, 4H) and b (4H,).
+    """Final hidden state (N, H) of a one-layer LSTM run from zero state over
+    data ``x`` (N, T, C); gates [input, forget, cell, output] are packed
+    along the 4H columns of wx (C, 4H), wh (H, 4H) and b (4H,).
 
-    One node with hand-written backpropagation through time in place of
-    about 15 nodes per step. Every float operation matches the composite
-    matmul/add/narrow/sigmoid/tanh/mul graph it replaces, and so does the
-    order in which the steps' gradients reach wx, wh and b (last step
-    first), so values and gradients are bitwise the same. ``x`` is data and
-    gets no gradient.
+    One node with hand-written backpropagation through time in place of the
+    ~15 matmul/add/narrow/sigmoid/tanh/mul nodes per step. It does the same
+    float operations, and the steps' gradients reach wx, wh and b in the
+    same order (last step first), so values and gradients are bitwise the
+    same as the composite graph's.
     """
     x = np.asarray(x, dtype=np.float64)
     hdim = wh.data.shape[0]
-    if (
-        x.ndim != 3
-        or wx.data.shape != (x.shape[2], 4 * hdim)
-        or wh.data.shape != (hdim, 4 * hdim)
-        or b.data.shape != (4 * hdim,)
-    ):
-        raise ShapeError(
-            f"lstm_sequence: incompatible shapes x {x.shape}, wx {wx.data.shape}, "
-            f"wh {wh.data.shape}, b {b.data.shape}"
-        )
+    shapes = (wx.data.shape, wh.data.shape, b.data.shape)
+    if x.ndim != 3 or shapes != ((x.shape[2], 4 * hdim), (hdim, 4 * hdim), (4 * hdim,)):
+        raise ShapeError(f"lstm_sequence: incompatible shapes x {x.shape} and wx, wh, b {shapes}")
     n, t_len, _ = x.shape
     h = np.zeros((n, hdim))
     c = np.zeros((n, hdim))

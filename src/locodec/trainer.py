@@ -94,21 +94,13 @@ class _Adam:
         self.t += 1
         b1t = 1.0 - cfg.beta1**self.t
         b2t = 1.0 - cfg.beta2**self.t
-        # in place, with the same float operations in the same order as
-        # p - lr * (m / b1t) / (sqrt(v / b2t) + eps)
-        for p, m, v in zip(params, self.m, self.v):
+        for i, p in enumerate(params):
             g = p.grad
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            step = m / b1t
-            step *= cfg.learning_rate
-            denom = v / b2t
-            np.sqrt(denom, out=denom)
-            denom += cfg.adam_eps
-            step /= denom
-            p.data = p.data - step
+            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
+            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g
+            p.data = p.data - cfg.learning_rate * (self.m[i] / b1t) / (
+                np.sqrt(self.v[i] / b2t) + cfg.adam_eps
+            )
 
 
 class _Sgd:

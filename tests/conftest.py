@@ -1,3 +1,12 @@
+import os
+
+# One BLAS thread per test process, as perfbench/run.py sets it: the
+# products here are small, and extra threads on a busy machine slow them
+# down many times over. Set before numpy is first imported; a value
+# already in the environment wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -193,22 +193,32 @@ def test_leakage_detects_eval_escaping_test_range():
 
 
 @pytest.mark.parametrize(
-    "strategy, refit",
+    "strategy, refit, offset_ms",
     [
-        ("single_80", True),
-        ("single_10", True),
-        ("zeroshot_cross_session", True),
-        ("zeroshot_cross_session", False),
-        ("finetune_cross_session", True),
+        ("single_80", True, 0),
+        ("single_80", True, -1000),
+        ("single_10", True, 0),
+        ("zeroshot_cross_session", True, 0),
+        ("zeroshot_cross_session", False, 0),
+        ("finetune_cross_session", True, 0),
+        ("finetune_cross_session", True, -1000),
     ],
 )
-def test_hygiene_records_the_normalizer_fit_range(strategy, refit):
+def test_hygiene_records_the_normalizer_fit_range(strategy, refit, offset_ms):
     # A normalizer fit on the session is a fitted quantity: its range must
     # be audited like training inputs. A reused source normalizer fits
     # nothing on the target, so a zero-shot unit then records no inputs.
+    # At a negative offset the first inputs of the fit range feed no
+    # window (their targets fall before sample 0), so only the normalizer
+    # range itself can cover them.
     sessions = tiny_fleet(n_rats=1, sessions_per_rat=2, duration_s=30.0)
     plan = ExperimentPlan(
-        decoder=LIN, train=FAST, strategy=strategy, refit_normalizer=refit, refresh_normalizer=refit
+        decoder=LIN,
+        train=FAST,
+        strategy=strategy,
+        refit_normalizer=refit,
+        refresh_normalizer=refit,
+        offset_ms=offset_ms,
     )
     n = sessions[0].n_samples
     if strategy.startswith("single"):
