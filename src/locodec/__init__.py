@@ -34,7 +34,6 @@ from .sessions import (
     Normalizer,
     Session,
     SplitSpec,
-    WindowView,
     apply_inclusion_gate,
     apply_normalizer,
     fit_normalizer,
@@ -46,7 +45,6 @@ from .sessions import (
     split_ranges,
     split_session,
     window_arrays,
-    windows,
     write_session,
 )
 from .dsp import (
@@ -67,13 +65,10 @@ from .decoders import (
     FAMILIES,
     Decoder,
     DecoderSpec,
-    featurize,
-    featurize_batch,
     fit_forest_decoder,
     gradcheck_decoder,
     load_state,
     new_decoder,
-    predict,
     save_state,
 )
 from .forest import Forest, ForestSpec, forest_fit, forest_predict

@@ -1,12 +1,16 @@
 """Decoder families over 200 ms EEG windows.
 
-Five families share one window contract (20 time-major samples x C channels,
-scalar speed out): a linear readout, a bagged CART forest, a feedforward net
-on the flattened window, a single-layer LSTM over the 20 steps, and a one-
-block encoder-style transformer (token projection, sinusoidal positions,
-bidirectional multi-head attention, a width-3 convolution over tokens, dense
-head). All trainable families run on the package's own autodiff graph; the
-forest is fitted greedily and wrapped behind the same predict surface.
+Five families share one window contract: every entry point
+(:meth:`Decoder.predict_batch`, :meth:`Decoder.loss_batch`,
+:func:`fit_forest_decoder`) takes time-major stacks of shape (n, 20, C),
+one scalar speed per window, and flat families flatten each window here and
+nowhere else. The families are a linear readout, a bagged CART forest, a
+feedforward net on the flattened window, a single-layer LSTM over the 20
+steps, and a one-block encoder-style transformer (token projection,
+sinusoidal positions, bidirectional multi-head attention, a width-3
+convolution over tokens, dense head). All trainable families run on the
+package's own autodiff graph; the forest is fitted greedily and wrapped
+behind the same predict surface.
 
 Body/head naming is load-bearing: parameters prefixed ``head.`` form the
 final dense stack and are the only ones updated when fine-tuning with a
@@ -27,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ModelLoadError, SpecMismatchError
+from .errors import ModelLoadError, ShapeError, SpecMismatchError
 from .forest import Forest, ForestSpec, Tree, forest_fit, forest_predict
-from .sessions import WINDOW_LEN, WindowView
+from .sessions import WINDOW_LEN
 
 FAMILIES = (
     "linear",
@@ -41,6 +45,7 @@ FAMILIES = (
 )
 TRAINABLE_FAMILIES = tuple(f for f in FAMILIES if f != "random_forest")
 RECURRENT_FAMILIES = ("lstm_rnn", "speed_rnn")
+FLAT_FAMILIES = ("linear", "ffnn", "random_forest")
 
 MODEL_MAGIC = b"LCMD1"
 MODEL_VERSION = 1
@@ -166,6 +171,19 @@ def _mlp_head(h: ad.Tensor, params, prefix: str, hidden: tuple[int, ...], rate, 
     return h
 
 
+def _window_input(spec: DecoderSpec, x) -> np.ndarray:
+    """The family's input from a time-major window stack of shape (n,
+    window_len, n_channels): flat families see each window flattened time
+    first (sample 0's channels first), sequence families the stack itself."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 3 or x.shape[1:] != (spec.window_len, spec.n_channels):
+        raise ShapeError(
+            f"{spec.family} decoder takes (n, {spec.window_len}, {spec.n_channels}) "
+            f"window stacks, got shape {x.shape}"
+        )
+    return x.reshape(x.shape[0], -1) if spec.family in FLAT_FAMILIES else x
+
+
 class Decoder:
     """A decoder spec plus its parameters (tensors or a fitted forest)."""
 
@@ -286,10 +304,11 @@ class Decoder:
         raise ValueError(f"family {fam} has no differentiable forward pass")
 
     def loss_batch(self, x: np.ndarray, y: np.ndarray, train_rng=None) -> ad.Tensor:
-        out = self._forward(x, rng=train_rng)
+        out = self._forward(_window_input(self.spec, x), rng=train_rng)
         return ad.mse(out, ad.constant(np.asarray(y, dtype=np.float64).reshape(-1, 1)))
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
+        x = _window_input(self.spec, x)
         if self.spec.family == "random_forest":
             if self.forest is None:
                 raise SpecMismatchError("random_forest decoder has not been fitted")
@@ -303,46 +322,13 @@ def new_decoder(spec: DecoderSpec) -> Decoder:
     return Decoder(spec)
 
 
-def fit_forest_decoder(spec: DecoderSpec, x2d: np.ndarray, y: np.ndarray, seed: int | None = None) -> Decoder:
+def fit_forest_decoder(spec: DecoderSpec, x: np.ndarray, y: np.ndarray, seed: int | None = None) -> Decoder:
     fspec = ForestSpec(
         n_trees=spec.n_trees,
         max_depth=spec.max_depth,
         seed=spec.seed if seed is None else seed,
     )
-    return Decoder(spec, forest_model=forest_fit(x2d, y, fspec))
-
-
-def featurize(window, family: str) -> np.ndarray:
-    """Per-family input from one window (a WindowView or a (20, C) layout).
-
-    Flat families get the time-major flattening (sample 0's channels first);
-    sequence families get the layout unchanged.
-    """
-    layout = window.layout if isinstance(window, WindowView) else np.asarray(window)
-    if family in ("linear", "ffnn", "random_forest"):
-        return np.asarray(layout, dtype=np.float64).reshape(-1)
-    if family in (*RECURRENT_FAMILIES, "transformer_encoder"):
-        return np.asarray(layout, dtype=np.float64)
-    raise ValueError(f"unknown decoder family {family!r}")
-
-
-def featurize_batch(x: np.ndarray, family: str) -> np.ndarray:
-    """Vector form of :func:`featurize` over (n, window_len, C) stacks."""
-    x = np.asarray(x, dtype=np.float64)
-    if family in ("linear", "ffnn", "random_forest"):
-        return x.reshape(x.shape[0], -1)
-    if family in (*RECURRENT_FAMILIES, "transformer_encoder"):
-        return x
-    raise ValueError(f"unknown decoder family {family!r}")
-
-
-def predict(decoder: Decoder, window_input, clip_nonnegative: bool = False) -> float:
-    """Scalar speed for one already-featurized input (or WindowView)."""
-    if isinstance(window_input, WindowView):
-        window_input = featurize(window_input, decoder.spec.family)
-    x = np.asarray(window_input, dtype=np.float64)
-    out = float(decoder.predict_batch(x[None, ...])[0])
-    return max(0.0, out) if clip_nonnegative else out
+    return Decoder(spec, forest_model=forest_fit(_window_input(spec, x), y, fspec))
 
 
 def attention_maps(decoder: Decoder, layout: np.ndarray) -> np.ndarray:
@@ -538,10 +524,9 @@ def gradcheck_decoder(
     x = rng.standard_normal((n_windows, spec.window_len, spec.n_channels))
     y = rng.standard_normal(n_windows)
     decoder = new_decoder(spec)
-    xf = featurize_batch(x, spec.family)
     params = decoder.param_list()
     return ad.gradcheck(
-        lambda: decoder.loss_batch(xf, y),
+        lambda: decoder.loss_batch(x, y),
         params,
         n_samples=n_samples,
         h=h,

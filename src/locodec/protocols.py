@@ -32,13 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decoders import (
-    Decoder,
-    DecoderSpec,
-    featurize_batch,
-    fit_forest_decoder,
-    new_decoder,
-)
+from .decoders import Decoder, DecoderSpec, fit_forest_decoder, new_decoder
 from .dsp import BAND_NAMES, autocorrelation, band, band_isolate
 from .errors import DegenerateDataError, FormatError, LeakageError, PlanError, SplitError
 from .sessions import (
@@ -297,8 +291,9 @@ def _run_unit(
     ``ranges`` are the unit's (fit, early-stop, test) ranges on ``session``.
     ``normalizer`` is used as given, or fit on the range given in its place
     (and that range is then recorded as a fitting input). ``fit`` maps a
-    fresh decoder spec and featurized (x, y, x_val, y_val) to (decoder,
-    report); an already-trained Decoder in its place is only evaluated.
+    fresh decoder spec and the (x, y, x_val, y_val) window stacks to
+    (decoder, report); an already-trained Decoder in its place is only
+    evaluated.
     ``seed`` is the fresh spec's seed and the result row's.
     """
     t0 = time.perf_counter()
@@ -315,10 +310,9 @@ def _run_unit(
     decoder, report = fit, None
     if fit_sets:
         (_, x_tr, y_tr, _), (_, x_va, y_va, _) = fit_sets
-        fam = plan.decoder.family
         spec = replace(plan.decoder, n_channels=x_tr.shape[2], seed=seed)
-        decoder, report = fit(spec, featurize_batch(x_tr, fam), y_tr, featurize_batch(x_va, fam), y_va)
-    pred = decoder.predict_batch(featurize_batch(x_te, decoder.spec.family))
+        decoder, report = fit(spec, x_tr, y_tr, x_va, y_va)
+    pred = decoder.predict_batch(x_te)
     if plan.clip_nonnegative:
         pred = np.maximum(pred, 0.0)
     result = EvalResult(

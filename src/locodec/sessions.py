@@ -17,7 +17,6 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -482,18 +481,6 @@ def normalized_session(s: Session, norm: Normalizer) -> Session:
 # sliding windows
 
 
-@dataclass(frozen=True)
-class WindowView:
-    """One causal decoding window: 20 time-major samples and the speed target
-    at the window's final sample shifted by the requested offset."""
-
-    start_index: int
-    layout: np.ndarray  # (WINDOW_LEN, C), time-major
-    target: float
-    target_index: int
-    offset_samples: int
-
-
 def offset_samples_for(offset_ms: int, sample_rate_hz: float = CANONICAL_RATE_HZ) -> int:
     step_ms = 1000.0 / sample_rate_hz
     k = offset_ms / step_ms
@@ -504,40 +491,31 @@ def offset_samples_for(offset_ms: int, sample_rate_hz: float = CANONICAL_RATE_HZ
     return int(round(k))
 
 
-def windows(s: Session, index_range: range, offset_ms: int = 0) -> Iterator[WindowView]:
-    """Yield every window whose samples lie inside ``index_range`` and whose
-    shifted target index lies inside the session."""
-    k = offset_samples_for(offset_ms, s.sample_rate_hz)
-    t_total = s.n_samples
-    for start in range(index_range.start, index_range.stop - WINDOW_LEN + 1):
-        tgt = start + WINDOW_LEN - 1 + k
-        if 0 <= tgt < t_total:
-            yield WindowView(
-                start_index=start,
-                layout=s.eeg[:, start : start + WINDOW_LEN].T,
-                target=float(s.speed[tgt]),
-                target_index=tgt,
-                offset_samples=k,
-            )
+def _window_stack(
+    signal: np.ndarray, target: np.ndarray, index_range: range, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one windowing rule: every window of ``signal`` (C, T) whose
+    samples lie inside ``index_range`` and whose target index, the window's
+    final sample shifted by ``k`` samples, lies inside the trace. Returns
+    (starts, X, y) with X of shape (n, WINDOW_LEN, C), time-major."""
+    starts = np.arange(index_range.start, index_range.stop - WINDOW_LEN + 1, dtype=np.int64)
+    targets = starts + WINDOW_LEN - 1 + k
+    keep = (targets >= 0) & (targets < target.size)
+    starts, targets = starts[keep], targets[keep]
+    if starts.size == 0:
+        return starts, np.empty((0, WINDOW_LEN, signal.shape[0])), np.empty((0,))
+    view = np.lib.stride_tricks.sliding_window_view(signal, WINDOW_LEN, axis=1)
+    x = view[:, starts, :].transpose(1, 2, 0).copy()  # (n, WINDOW_LEN, C)
+    return starts, x, target[targets].copy()
 
 
 def window_arrays(
     s: Session, index_range: range, offset_ms: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bulk form of :func:`windows`: (starts, X, y) with X of shape
-    (n, WINDOW_LEN, C) time-major. Semantically identical to the generator."""
+    """Windows over the session's EEG with speed targets: (starts, X, y),
+    X of shape (n, WINDOW_LEN, C) time-major."""
     k = offset_samples_for(offset_ms, s.sample_rate_hz)
-    starts = np.arange(index_range.start, index_range.stop - WINDOW_LEN + 1, dtype=np.int64)
-    targets = starts + WINDOW_LEN - 1 + k
-    keep = (targets >= 0) & (targets < s.n_samples)
-    starts, targets = starts[keep], targets[keep]
-    if starts.size == 0:
-        c = s.n_channels
-        return starts, np.empty((0, WINDOW_LEN, c)), np.empty((0,))
-    view = np.lib.stride_tricks.sliding_window_view(s.eeg, WINDOW_LEN, axis=1)
-    x = view[:, starts, :].transpose(1, 2, 0).copy()  # (n, WINDOW_LEN, C)
-    y = s.speed[targets].copy()
-    return starts, x, y
+    return _window_stack(s.eeg, s.speed, index_range, k)
 
 
 def speed_window_arrays(
@@ -550,12 +528,4 @@ def speed_window_arrays(
     speed-history reference decoder. Same windowing and target rules."""
     speed = np.asarray(speed, dtype=np.float64)
     k = offset_samples_for(offset_ms, sample_rate_hz)
-    starts = np.arange(index_range.start, index_range.stop - WINDOW_LEN + 1, dtype=np.int64)
-    targets = starts + WINDOW_LEN - 1 + k
-    keep = (targets >= 0) & (targets < speed.size)
-    starts, targets = starts[keep], targets[keep]
-    if starts.size == 0:
-        return starts, np.empty((0, WINDOW_LEN, 1)), np.empty((0,))
-    view = np.lib.stride_tricks.sliding_window_view(speed, WINDOW_LEN)
-    x = view[starts][:, :, None].astype(np.float64)
-    return starts, x, speed[targets].copy()
+    return _window_stack(speed[None, :], speed, index_range, k)

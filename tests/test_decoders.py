@@ -1,4 +1,4 @@
-"""Decoder families: featurization, forward passes, body/head split, model files.
+"""Decoder families: the window contract, forward passes, body/head split, model files.
 
 Gradchecks here run on deliberately small specs so the whole file stays fast;
 the default-size families are exercised by the acceptance suite.
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from locodec import decoders as dec
-from locodec.errors import ModelLoadError, SpecMismatchError
+from locodec.errors import ModelLoadError, ShapeError, SpecMismatchError
 from locodec.sessions import WINDOW_LEN
 
 SMALL = {
@@ -24,38 +24,84 @@ SMALL = {
 
 def _window_batch(spec, n=4, seed=0):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, spec.window_len, spec.n_channels))
-    return dec.featurize_batch(x, spec.family), x
+    return rng.standard_normal((n, spec.window_len, spec.n_channels))
 
 
 # ---------------------------------------------------------------------------
-# featurization
+# the window contract: (n, WINDOW_LEN, C) stacks in, one speed per window out
 # ---------------------------------------------------------------------------
+
+
+def _one_hot_linear(n_channels, index):
+    """A linear decoder that reads out feature ``index`` of the flattened
+    window and nothing else."""
+    d = dec.new_decoder(dec.DecoderSpec(family="linear", n_channels=n_channels))
+    d.params["head.w0"].data[:] = 0.0
+    d.params["head.w0"].data[index, 0] = 1.0
+    d.params["head.b0"].data[:] = 0.0
+    return d
 
 
 def test_flat_feature_length_canonical():
-    layout = np.zeros((WINDOW_LEN, 32))
-    assert dec.featurize(layout, "linear").shape == (640,)
+    d = dec.new_decoder(dec.DecoderSpec(family="linear", n_channels=32))
+    assert d.params["head.w0"].data.shape == (640, 1)
+    assert d.predict_batch(np.zeros((2, WINDOW_LEN, 32))).shape == (2,)
 
 
 def test_flat_feature_length_region_subset():
-    layout = np.zeros((WINDOW_LEN, 8))
-    assert dec.featurize(layout, "ffnn").shape == (160,)
+    d = dec.new_decoder(dec.DecoderSpec(family="ffnn", n_channels=8, ffnn_hidden=(4,)))
+    assert d.params["body.w0"].data.shape == (160, 4)
+    assert d.predict_batch(np.zeros((1, WINDOW_LEN, 8))).shape == (1,)
 
 
 def test_sequence_families_keep_time_major_layout():
     rng = np.random.default_rng(1)
-    layout = rng.normal(size=(WINDOW_LEN, 5))
+    x = rng.normal(size=(2, WINDOW_LEN, 3))
     for fam in ("lstm_rnn", "transformer_encoder"):
-        out = dec.featurize(layout, fam)
-        np.testing.assert_array_equal(out[0], layout[0])  # row 0 = earliest sample
+        out = dec._window_input(SMALL[fam], x)
+        np.testing.assert_array_equal(out[:, 0], x[:, 0])  # row 0 = earliest sample
+    # An LSTM with no memory (closed forget gate, no recurrent weights)
+    # reads only the step it sees last: the stack's final row.
+    d = dec.new_decoder(SMALL["lstm_rnn"])
+    h = SMALL["lstm_rnn"].lstm_hidden
+    d.params["body.wh"].data[:] = 0.0
+    d.params["body.b"].data[h : 2 * h] = -1e3
+    early, late = x.copy(), x.copy()
+    early[:, :-1] += 1.0
+    late[:, -1] += 1.0
+    base = d.predict_batch(x)
+    np.testing.assert_array_equal(d.predict_batch(early), base)
+    assert np.all(np.abs(d.predict_batch(late) - base) > 1e-9)
 
 
 def test_flat_feature_order_is_time_then_channel():
-    layout = np.arange(WINDOW_LEN * 2, dtype=float).reshape(WINDOW_LEN, 2)
-    flat = dec.featurize(layout, "linear")
-    np.testing.assert_array_equal(flat[:2], layout[0])
-    np.testing.assert_array_equal(flat[2:4], layout[1])
+    layout = np.arange(WINDOW_LEN * 2, dtype=float).reshape(1, WINDOW_LEN, 2)
+    flat = np.array([_one_hot_linear(2, j).predict_batch(layout)[0] for j in range(4)])
+    np.testing.assert_array_equal(flat[:2], layout[0, 0])
+    np.testing.assert_array_equal(flat[2:4], layout[0, 1])
+
+
+@pytest.mark.parametrize("family", dec.FAMILIES)
+def test_every_entry_point_rejects_a_wrong_window_shape(family):
+    spec = SMALL.get(family, dec.DecoderSpec(family="random_forest", n_channels=3, n_trees=2))
+    good = _window_batch(spec, n=6)
+    y = np.zeros(6)
+    if family == "random_forest":
+        d = dec.fit_forest_decoder(spec, good, y)
+    else:
+        d = dec.new_decoder(spec)
+        d.loss_batch(good, y)
+    d.predict_batch(good)
+    extra_channel = np.concatenate([good, good[:, :, :1]], axis=2)
+    for bad in (good.reshape(6, -1), extra_channel, good[:, 1:, :], good[0]):
+        with pytest.raises(ShapeError):
+            d.predict_batch(bad)
+        if family == "random_forest":
+            with pytest.raises(ShapeError):
+                dec.fit_forest_decoder(spec, bad, y)
+        else:
+            with pytest.raises(ShapeError):
+                d.loss_batch(bad, y)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +113,8 @@ def test_linear_zero_weights_returns_bias():
     d = dec.new_decoder(SMALL["linear"])
     d.params["head.w0"].data[:] = 0.0
     d.params["head.b0"].data[:] = 2.75
-    xf, _ = _window_batch(SMALL["linear"], n=3)
-    np.testing.assert_allclose(d.predict_batch(xf), 2.75, atol=1e-12)
+    x = _window_batch(SMALL["linear"], n=3)
+    np.testing.assert_allclose(d.predict_batch(x), 2.75, atol=1e-12)
 
 
 def test_predict_deterministic_and_pure():
@@ -76,9 +122,9 @@ def test_predict_deterministic_and_pure():
         if fam == "speed_rnn":
             continue
         d = dec.new_decoder(spec)
-        xf, _ = _window_batch(spec, n=2, seed=3)
-        a = d.predict_batch(xf)
-        b = d.predict_batch(xf)
+        x = _window_batch(spec, n=2, seed=3)
+        a = d.predict_batch(x)
+        b = d.predict_batch(x)
         np.testing.assert_array_equal(a, b)
 
 
@@ -96,7 +142,7 @@ def test_lstm_zero_input_zero_biases_gives_head_bias():
 def test_lstm_is_order_sensitive():
     spec = SMALL["lstm_rnn"]
     d = dec.new_decoder(spec)
-    _, x = _window_batch(spec, n=1, seed=5)
+    x = _window_batch(spec, n=1, seed=5)
     fwd = d.predict_batch(x)[0]
     rev = d.predict_batch(x[:, ::-1, :].copy())[0]
     assert abs(fwd - rev) > 1e-9
@@ -157,15 +203,6 @@ def test_speed_rnn_input_width_one():
     assert out.shape == (2,) and np.all(np.isfinite(out))
 
 
-def test_clip_nonnegative_flag():
-    d = dec.new_decoder(SMALL["linear"])
-    d.params["head.w0"].data[:] = 0.0
-    d.params["head.b0"].data[:] = -1.5
-    xf, _ = _window_batch(SMALL["linear"], n=1)
-    assert dec.predict(d, xf[0]) == pytest.approx(-1.5)
-    assert dec.predict(d, xf[0], clip_nonnegative=True) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # body/head partition
 # ---------------------------------------------------------------------------
@@ -192,26 +229,26 @@ def test_save_load_predict_bitwise(tmp_path):
     for fam, spec in SMALL.items():
         d = dec.new_decoder(spec)
         d.quantize_f32()
-        xf, _ = _window_batch(spec, n=3, seed=11)
-        before = d.predict_batch(xf)
+        x = _window_batch(spec, n=3, seed=11)
+        before = d.predict_batch(x)
         path = tmp_path / f"{fam}.model"
         dec.save_state(d, path, meta={"tag": fam})
         loaded, extras, meta = dec.load_state(path)
         assert meta["tag"] == fam
         assert extras == {}
-        np.testing.assert_array_equal(loaded.predict_batch(xf), before)
+        np.testing.assert_array_equal(loaded.predict_batch(x), before)
         assert loaded.checksum() == d.checksum()
 
 
 def test_save_load_forest_roundtrip(tmp_path):
     rng = np.random.default_rng(12)
     spec = dec.DecoderSpec(family="random_forest", n_channels=3, n_trees=5, max_depth=4)
-    x = rng.normal(size=(50, spec.flat_dim))
+    x = rng.normal(size=(50, spec.window_len, spec.n_channels))
     d = dec.fit_forest_decoder(spec, x, rng.normal(size=50))
     path = tmp_path / "forest.model"
     dec.save_state(d, path)
     loaded, _, _ = dec.load_state(path)
-    q = rng.normal(size=(10, spec.flat_dim))
+    q = rng.normal(size=(10, spec.window_len, spec.n_channels))
     np.testing.assert_array_equal(loaded.predict_batch(q), d.predict_batch(q))
 
 

@@ -286,48 +286,76 @@ def test_normalizer_roundtrip(seed):
 
 
 def test_window_count_offset_zero(session):
-    views = list(ss.windows(session, range(0, 100)))
-    assert len(views) == 81
-    assert views[0].start_index == 0 and views[-1].start_index == 80
+    starts, x, y = ss.window_arrays(session, range(0, 100))
+    assert len(starts) == len(x) == len(y) == 81
+    assert starts[0] == 0 and starts[-1] == 80
 
 
 def test_window_layout_is_time_major(session):
-    v = next(ss.windows(session, range(10, 60)))
-    assert v.layout.shape == (ss.WINDOW_LEN, session.n_channels)
-    np.testing.assert_array_equal(v.layout[3], session.eeg[:, 13])
+    starts, x, _ = ss.window_arrays(session, range(10, 60))
+    assert x.shape[1:] == (ss.WINDOW_LEN, session.n_channels)
+    assert starts[0] == 10
+    np.testing.assert_array_equal(x[0, 3], session.eeg[:, 13])
 
 
 def test_positive_offset_drops_tail_windows():
     s = make_session(n_samples=500)
-    full = list(ss.windows(s, range(400, 500), offset_ms=0))
-    shifted = list(ss.windows(s, range(400, 500), offset_ms=1000))
+    full, _, _ = ss.window_arrays(s, range(400, 500), offset_ms=0)
+    shifted, _, _ = ss.window_arrays(s, range(400, 500), offset_ms=1000)
     # 1000 ms = 100 samples: every target lands beyond T, so all windows vanish
     assert len(full) == 81 and len(shifted) == 0
-    mild = list(ss.windows(s, range(400, 500), offset_ms=100))
+    mild, _, _ = ss.window_arrays(s, range(400, 500), offset_ms=100)
     assert len(mild) == 81 - 10
 
 
 def test_negative_offset_example():
     s = make_session(n_samples=60)
-    v = next(ss.windows(s, range(0, 60), offset_ms=-100))
-    assert v.start_index == 0 and v.target_index == 9
-    assert v.target == s.speed[9]
+    starts, _, y = ss.window_arrays(s, range(0, 60), offset_ms=-100)
+    # the first window's target is its final sample (19) shifted back 10
+    assert starts[0] == 0
+    assert y[0] == s.speed[9]
 
 
 def test_offset_must_be_whole_samples(session):
     with pytest.raises(ValueError):
-        list(ss.windows(session, range(0, 100), offset_ms=15))
+        ss.window_arrays(session, range(0, 100), offset_ms=15)
+    with pytest.raises(ValueError):
+        ss.speed_window_arrays(session.speed, range(0, 100), offset_ms=15)
+
+
+def _reference_windows(s, index_range, k):
+    """The windowing rule written out one window at a time."""
+    for start in range(index_range.start, index_range.stop - ss.WINDOW_LEN + 1):
+        tgt = start + ss.WINDOW_LEN - 1 + k
+        if 0 <= tgt < s.n_samples:
+            yield start, s.eeg[:, start : start + ss.WINDOW_LEN].T, s.speed[tgt]
 
 
 def test_window_arrays_match_generator(session):
     for off in (-200, -10, 0, 10, 300):
-        views = list(ss.windows(session, range(40, 260), offset_ms=off))
+        views = list(_reference_windows(session, range(40, 260), off // 10))
         starts, x, y = ss.window_arrays(session, range(40, 260), offset_ms=off)
         assert len(views) == len(starts)
-        for i, v in enumerate(views):
-            assert v.start_index == starts[i]
-            np.testing.assert_array_equal(x[i], v.layout)
-            assert y[i] == v.target
+        for i, (start, layout, target) in enumerate(views):
+            assert start == starts[i]
+            np.testing.assert_array_equal(x[i], layout)
+            assert y[i] == target
+
+
+@pytest.mark.parametrize("off", [-200, -10, 0, 10, 300, 5000])
+def test_speed_windows_are_the_shared_core_on_one_channel(off):
+    """speed_window_arrays is the EEG windowing applied to the speed trace
+    as a single-channel signal: same starts, stacks and targets, bitwise."""
+    speed = np.abs(np.random.default_rng(4).normal(size=300)) * np.pi
+    one = make_session(eeg=speed[None, :], speed=speed)
+    got = ss.speed_window_arrays(speed, range(40, 260), offset_ms=off)
+    for want in (
+        ss.window_arrays(one, range(40, 260), offset_ms=off),
+        ss._window_stack(speed[None, :], speed, range(40, 260), off // 10),
+    ):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 @settings(max_examples=120, deadline=None)
@@ -338,11 +366,11 @@ def test_window_arrays_match_generator(session):
 def test_window_count_formula_exhaustive(t_total, k):
     """count = max(0, L - 19 - boundary losses) for every (length, offset)."""
     s = make_session(n_samples=t_total, n_channels=2)
-    views = list(ss.windows(s, range(0, t_total), offset_ms=10 * k))
+    starts, x, y = ss.window_arrays(s, range(0, t_total), offset_ms=10 * k)
     base = t_total - ss.WINDOW_LEN + 1
     start_floor = max(0, -(ss.WINDOW_LEN - 1 + k))  # targets before index 0
     start_ceil = min(base, t_total - ss.WINDOW_LEN + 1 - max(0, k))
     expected = max(0, start_ceil - start_floor)
-    assert len(views) == expected
-    for v in views:
-        assert 0 <= v.target_index < t_total
+    assert len(starts) == len(x) == len(y) == expected
+    targets = starts + ss.WINDOW_LEN - 1 + k
+    assert np.all((0 <= targets) & (targets < t_total))

@@ -6,18 +6,8 @@ import numpy as np
 import pytest
 
 from locodec import trainer
-from locodec.decoders import DecoderSpec, featurize_batch, new_decoder
+from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DivergenceError
-
-
-def _linear_problem(n=400, d=6, noise=0.0, seed=0):
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=d)
-    x = rng.normal(size=(n, 20, 1))  # window shape with C=1 ... unused channels
-    # make a flat problem directly instead: features = first d of flattened window
-    xf = x.reshape(n, -1)[:, :d]
-    y = xf @ w + noise * rng.normal(size=n)
-    return xf, y
 
 
 def _window_problem(spec, n=300, seed=0, noise=0.0):
@@ -26,17 +16,16 @@ def _window_problem(spec, n=300, seed=0, noise=0.0):
     x = rng.normal(size=(n, spec.window_len, spec.n_channels))
     w = rng.normal(size=spec.window_len * spec.n_channels) / np.sqrt(spec.flat_dim)
     y = x.reshape(n, -1) @ w + noise * rng.normal(size=n)
-    xf = featurize_batch(x, spec.family)
-    return xf, y
+    return x, y
 
 
 LIN = DecoderSpec(family="linear", n_channels=4)
 
 
 def test_linear_convergence_on_solvable_problem():
-    xf, y = _window_problem(LIN, n=500, seed=1)
-    x_tr, y_tr = xf[:400], y[:400]
-    x_va, y_va = xf[400:], y[400:]
+    x, y = _window_problem(LIN, n=500, seed=1)
+    x_tr, y_tr = x[:400], y[:400]
+    x_va, y_va = x[400:], y[400:]
     cfg = trainer.TrainConfig(max_epochs=50, learning_rate=1e-2, patience=50, shuffle_seed=2)
     fitted, report = trainer.train(new_decoder(LIN), x_tr, y_tr, x_va, y_va, cfg)
     assert report.best_val_loss <= 1e-4 * float(np.var(y_va))
@@ -46,9 +35,9 @@ def test_early_stop_returns_best_checkpoint():
     """Patience 2 on a deliberately overfitting run: the returned state must
     reproduce the minimal recorded validation loss exactly."""
     spec = DecoderSpec(family="ffnn", n_channels=3, ffnn_hidden=(32, 16))
-    xf, y = _window_problem(spec, n=260, seed=3, noise=0.5)
-    x_tr, y_tr = xf[:200], y[:200]
-    x_va, y_va = xf[200:], y[200:]
+    x, y = _window_problem(spec, n=260, seed=3, noise=0.5)
+    x_tr, y_tr = x[:200], y[:200]
+    x_va, y_va = x[200:], y[200:]
     cfg = trainer.TrainConfig(max_epochs=60, learning_rate=5e-3, patience=2, shuffle_seed=4)
     fitted, report = trainer.train(new_decoder(spec), x_tr, y_tr, x_va, y_va, cfg)
     val_curve = [rec.val_loss for rec in report.history]
@@ -63,10 +52,10 @@ def test_early_stop_returns_best_checkpoint():
 
 def test_initial_params_count_as_epoch_zero():
     # max_epochs=0 returns the untouched initial state
-    xf, y = _window_problem(LIN, n=100, seed=5)
+    x, y = _window_problem(LIN, n=100, seed=5)
     d = new_decoder(LIN)
     before = {k: v.copy() for k, v in d.state_arrays().items()}
-    fitted, report = trainer.train(d, xf, y, xf, y, trainer.TrainConfig(max_epochs=0))
+    fitted, report = trainer.train(d, x, y, x, y, trainer.TrainConfig(max_epochs=0))
     assert report.best_epoch == 0 and report.n_epochs_run == 0
     for k, v in fitted.state_arrays().items():
         np.testing.assert_array_equal(v, before[k].astype(np.float32).astype(np.float64))
@@ -74,12 +63,12 @@ def test_initial_params_count_as_epoch_zero():
 
 def test_freeze_body_keeps_body_bitwise():
     spec = DecoderSpec(family="lstm_rnn", n_channels=3, lstm_hidden=8, head_hidden=(4,))
-    xf, y = _window_problem(spec, n=120, seed=6)
+    x, y = _window_problem(spec, n=120, seed=6)
     d = new_decoder(spec)
     d.quantize_f32()  # put the starting point on the storage grid
     body_before = {k: v.copy() for k, v in d.state_arrays().items() if k.startswith("body.")}
     cfg = trainer.TrainConfig(max_epochs=4, freeze_body=True, shuffle_seed=7)
-    fitted, report = trainer.fine_tune(d, xf[:100], y[:100], xf[100:], y[100:], cfg)
+    fitted, report = trainer.fine_tune(d, x[:100], y[:100], x[100:], y[100:], cfg)
     after = fitted.state_arrays()
     for k, v in body_before.items():
         np.testing.assert_array_equal(after[k], v)
@@ -93,26 +82,26 @@ def test_freeze_body_keeps_body_bitwise():
 
 
 def test_fine_tune_requires_freeze():
-    xf, y = _window_problem(LIN, n=50, seed=8)
+    x, y = _window_problem(LIN, n=50, seed=8)
     with pytest.raises(ValueError):
-        trainer.fine_tune(new_decoder(LIN), xf, y, xf, y, trainer.TrainConfig())
+        trainer.fine_tune(new_decoder(LIN), x, y, x, y, trainer.TrainConfig())
 
 
 def test_fine_tune_zero_epochs_is_identity():
     spec = DecoderSpec(family="ffnn", n_channels=3, ffnn_hidden=(8, 4))
-    xf, y = _window_problem(spec, n=60, seed=9)
+    x, y = _window_problem(spec, n=60, seed=9)
     d = new_decoder(spec)
     d.quantize_f32()
     cfg = trainer.TrainConfig(max_epochs=0, freeze_body=True)
-    fitted, _ = trainer.fine_tune(d, xf, y, xf, y, cfg)
+    fitted, _ = trainer.fine_tune(d, x, y, x, y, cfg)
     assert fitted.checksum() == d.checksum()
 
 
 def test_divergence_reports_epoch_and_lr():
-    xf, y = _window_problem(LIN, n=80, seed=10)
+    x, y = _window_problem(LIN, n=80, seed=10)
     cfg = trainer.TrainConfig(max_epochs=30, learning_rate=1e12, optimizer="sgd", patience=30)
     with pytest.raises(DivergenceError) as exc:
-        trainer.train(new_decoder(LIN), xf, y * 1e6, xf, y, cfg)
+        trainer.train(new_decoder(LIN), x, y * 1e6, x, y, cfg)
     msg = str(exc.value)
     assert "epoch" in msg
     assert exc.value.lr == 1e12
@@ -121,11 +110,11 @@ def test_divergence_reports_epoch_and_lr():
 
 def test_training_is_reproducible():
     spec = DecoderSpec(family="ffnn", n_channels=2, ffnn_hidden=(8, 4))
-    xf, y = _window_problem(spec, n=150, seed=11, noise=0.2)
+    x, y = _window_problem(spec, n=150, seed=11, noise=0.2)
     cfg = trainer.TrainConfig(max_epochs=5, shuffle_seed=12)
 
     def run():
-        fitted, report = trainer.train(new_decoder(spec), xf[:120], y[:120], xf[120:], y[120:], cfg)
+        fitted, report = trainer.train(new_decoder(spec), x[:120], y[:120], x[120:], y[120:], cfg)
         return fitted.checksum(), [(r.train_loss, r.val_loss) for r in report.history]
 
     assert run() == run()
@@ -133,18 +122,18 @@ def test_training_is_reproducible():
 
 def test_overfit_single_batch_monotone():
     spec = DecoderSpec(family="ffnn", n_channels=2, ffnn_hidden=(16, 8))
-    xf, y = _window_problem(spec, n=32, seed=13)
+    x, y = _window_problem(spec, n=32, seed=13)
     cfg = trainer.TrainConfig(max_epochs=25, batch_size=32, learning_rate=1e-3, patience=25)
-    _, report = trainer.train(new_decoder(spec), xf, y, np.empty((0, xf.shape[1])), np.empty(0), cfg)
+    _, report = trainer.train(new_decoder(spec), x, y, np.empty((0, *x.shape[1:])), np.empty(0), cfg)
     losses = [r.train_loss for r in report.history]
     diffs = np.diff(losses[1:])
     assert np.all(diffs <= 1e-9), "single-batch loss must decrease monotonically"
 
 
 def test_sgd_optimizer_path():
-    xf, y = _window_problem(LIN, n=200, seed=14)
+    x, y = _window_problem(LIN, n=200, seed=14)
     cfg = trainer.TrainConfig(max_epochs=20, optimizer="sgd", learning_rate=1e-3, patience=20)
-    _, report = trainer.train(new_decoder(LIN), xf[:150], y[:150], xf[150:], y[150:], cfg)
+    _, report = trainer.train(new_decoder(LIN), x[:150], y[:150], x[150:], y[150:], cfg)
     assert report.history[-1].val_loss < report.history[0].val_loss
 
 
@@ -154,18 +143,18 @@ def test_forest_family_rejected():
             new_decoder(DecoderSpec(family="linear", n_channels=2)).__class__(
                 DecoderSpec(family="random_forest", n_channels=2)
             ),
-            np.zeros((4, 40)),
+            np.zeros((4, 20, 2)),
             np.zeros(4),
-            np.zeros((0, 40)),
+            np.zeros((0, 20, 2)),
             np.zeros(0),
             trainer.TrainConfig(),
         )
 
 
 def test_report_jsonl_roundtrip():
-    xf, y = _window_problem(LIN, n=90, seed=15)
+    x, y = _window_problem(LIN, n=90, seed=15)
     cfg = trainer.TrainConfig(max_epochs=3)
-    _, report = trainer.train(new_decoder(LIN), xf[:70], y[:70], xf[70:], y[70:], cfg)
+    _, report = trainer.train(new_decoder(LIN), x[:70], y[:70], x[70:], y[70:], cfg)
     lines = report.to_jsonl().strip().splitlines()
     assert len(lines) == report.n_epochs_run + 1
     for i, line in enumerate(lines[:-1], start=1):
