@@ -219,6 +219,7 @@ def cmd_train(args) -> int:
         "strategy": cfg.plan.strategy,
         "region_set": cfg.plan.region_label,
         "band": cfg.plan.band,
+        "clip_nonnegative": cfg.plan.clip_nonnegative,
         "master_seed": cfg.plan.master_seed,
         "config_hash": cfg.config_hash,
     }
@@ -248,6 +249,7 @@ def cmd_eval(args) -> int:
         region_set=() if region == "all" else tuple(region.split("+")),
         band=meta.get("band", "fullband"),
         offset_ms=args.offset_ms,
+        clip_nonnegative=bool(meta.get("clip_nonnegative", False)),
         master_seed=int(meta.get("master_seed", 0)),
     )
     result = evaluate_saved(decoder, normalizer, session, plan)

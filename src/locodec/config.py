@@ -108,7 +108,6 @@ REGISTRY: dict[str, tuple] = {
     "dataset.synthetic.scramble_channels": (_bool, False),
     "dataset.synthetic.seed": (_int, 0),
     "decoder.family": (_str, "lstm_rnn"),
-    "decoder.n_channels": (_int, 32),
     "decoder.ffnn_hidden": (_int_tuple, (256, 64)),
     "decoder.lstm_hidden": (_int, 64),
     "decoder.head_hidden": (_int_tuple, (32,)),
@@ -261,7 +260,8 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
         )
         decoder = DecoderSpec(
             family=values["decoder.family"],
-            n_channels=values["decoder.n_channels"] if values["decoder.family"] != "speed_rnn" else 1,
+            # fitting replaces this with the prepared session's channel count
+            n_channels=1 if values["decoder.family"] == "speed_rnn" else DecoderSpec.n_channels,
             ffnn_hidden=values["decoder.ffnn_hidden"],
             lstm_hidden=values["decoder.lstm_hidden"],
             head_hidden=values["decoder.head_hidden"],

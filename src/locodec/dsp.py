@@ -217,6 +217,12 @@ def speed_decile_spectra(
     concatenated across gaps. Welch segments (Hann, 50% overlap) from all
     surviving runs are pooled, averaged, averaged again across channels, and
     reported as f*P(f) up to ``fmax_hz``.
+
+    A decile with no run of at least ``nfft`` samples gets no curve (None)
+    and a segment count of 0. On short sessions, or ones whose speed changes
+    quickly, this can leave several deciles empty (often deciles 2-8 of a
+    short synthetic session); the aggregate then counts fewer sessions for
+    them, and ``spectra.csv`` has no row for a decile no session filled.
     """
     fs = session.sample_rate_hz
     deciles = assign_deciles(session.speed)

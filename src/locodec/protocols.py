@@ -241,13 +241,13 @@ def _speed_source(session: Session, plan: ExperimentPlan, fit_range: range):
     sd = max(float(np.std(session.speed[fit_range.start : fit_range.stop])), 1e-8)
     z = (session.speed - mu) / sd
 
-    def windows(rng: range):
+    def speed_windows(rng: range):
         starts, x, y = speed_window_arrays(z, rng, plan.offset_ms, session.sample_rate_hz)
         # targets come back as z[t]*sd + mu, not speed[t]: the two differ
         # in the last bit, and training amplifies that
         return starts, x, y * sd + mu
 
-    return windows, None, fit_range
+    return speed_windows, None, fit_range
 
 
 def _safe_r(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -655,7 +655,6 @@ RESULTS_COLUMNS = (
     "r2",
     "n_test_windows",
     "seed",
-    "wall_time_s",
 )
 
 
@@ -678,9 +677,9 @@ def results_sort_key(res: EvalResult):
 
 
 def results_to_csv_text(results, config_hash: str = "", master_seed: int = 0) -> str:
-    """Canonical results table. Rows are sorted deterministically and the
-    wall_time_s column is pinned to 0.0 so identical configurations serialize
-    bitwise identically; real durations live in the timings table."""
+    """Canonical results table. Rows are sorted deterministically and carry
+    no durations, so identical configurations serialize bitwise identically;
+    real durations live in the timings table."""
     lines = [f"# config_hash={config_hash} seed={master_seed}", ",".join(RESULTS_COLUMNS)]
     for res in sorted(results, key=results_sort_key):
         lines.append(
@@ -697,7 +696,6 @@ def results_to_csv_text(results, config_hash: str = "", master_seed: int = 0) ->
                     _fmt(res.r2),
                     str(res.n_test_windows),
                     str(res.seed),
-                    _fmt(0.0),
                 ]
             )
         )

@@ -456,7 +456,6 @@ def test_criterion_8_hygiene_and_reproducibility(tmp_path):
         "dataset.synthetic.speed_tau_s = 0.5\n"
         "dataset.synthetic.speed_bias = 1.0\n"
         "decoder.family = linear\n"
-        "decoder.n_channels = 8\n"
         "train.max_epochs = 10\n"
         "train.patience = 4\n"
         "train.learning_rate = 3e-3\n"

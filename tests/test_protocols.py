@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locodec.decoders import DecoderSpec
+from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DegenerateDataError, FormatError, LeakageError, PlanError, SplitError
 from locodec.protocols import (
     DEFAULT_OFFSETS_MS,
@@ -37,7 +37,14 @@ from locodec.protocols import (
     timings_to_csv_text,
     transfer_pairs,
 )
-from locodec.sessions import REGIONS, WINDOW_LEN, offset_samples_for, split_ranges, window_arrays
+from locodec.sessions import (
+    REGIONS,
+    WINDOW_LEN,
+    fit_normalizer,
+    offset_samples_for,
+    split_ranges,
+    window_arrays,
+)
 from locodec.stats import r_squared
 from locodec.synthetic import FleetSpec, generate_synthetic_fleet
 from locodec.trainer import TrainConfig
@@ -300,6 +307,23 @@ def test_evaluate_saved_reproduces_training_row_at_offset_zero():
     assert result_fields(again) == result_fields(out.result)
 
 
+def test_clip_nonnegative_flag():
+    """Every prediction of a unit is clipped at 0 before scoring when the
+    plan asks for it, and scored as is otherwise."""
+    (session,) = tiny_fleet()
+    d = new_decoder(LIN)
+    d.params["head.w0"].data[:] = 0.0
+    d.params["head.b0"].data[:] = -1.5
+    norm = fit_normalizer(session, range(0, 100))
+    test = strategy_ranges("single_80", session.n_samples)[2]
+    y = session.speed[test.start + WINDOW_LEN - 1 : test.stop]
+    for clip, pred in ((False, -1.5), (True, 0.0)):
+        res = evaluate_saved(d, norm, session, ExperimentPlan(decoder=LIN, clip_nonnegative=clip))
+        assert res.n_test_windows == y.size
+        assert res.r == 0.0  # a constant prediction
+        assert res.r2 == r_squared(np.full(y.size, pred), y)
+
+
 # ---------------------------------------------------------------------------
 # transfer bookkeeping
 
@@ -443,7 +467,7 @@ def test_results_csv_roundtrip_and_header():
     lines = text.splitlines()
     assert lines[0] == "# config_hash=abc123 seed=4"
     assert lines[1].startswith("session_id,rat_id,strategy,")
-    assert lines[1].endswith(",seed,wall_time_s")
+    assert lines[1].endswith(",n_test_windows,seed")
     parsed = parse_results_csv(text)
     assert sorted(parsed, key=lambda r: (r.model, r.session_id)) == sorted(
         _some_rows(), key=lambda r: (r.model, r.session_id)
@@ -468,6 +492,11 @@ def test_results_csv_floats_roundtrip_exactly():
 def test_parse_rejects_foreign_header():
     with pytest.raises(FormatError):
         parse_results_csv("a,b,c\n1,2,3\n")
+    # tables from before the always-zero wall_time_s column was dropped
+    old = results_to_csv_text(_some_rows()).splitlines()
+    old[1] += ",wall_time_s"
+    with pytest.raises(FormatError, match="header"):
+        parse_results_csv("\n".join(old[:2] + [row + ",0.0" for row in old[2:]]) + "\n")
 
 
 def test_parse_rejects_field_count_mismatch():
