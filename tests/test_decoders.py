@@ -32,16 +32,6 @@ def _window_batch(spec, n=4, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def _one_hot_linear(n_channels, index):
-    """A linear decoder that reads out feature ``index`` of the flattened
-    window and nothing else."""
-    d = dec.new_decoder(dec.DecoderSpec(family="linear", n_channels=n_channels))
-    d.params["head.w0"].data[:] = 0.0
-    d.params["head.w0"].data[index, 0] = 1.0
-    d.params["head.b0"].data[:] = 0.0
-    return d
-
-
 def test_flat_feature_length_canonical():
     d = dec.new_decoder(dec.DecoderSpec(family="linear", n_channels=32))
     assert d.params["head.w0"].data.shape == (640, 1)
@@ -76,7 +66,13 @@ def test_sequence_families_keep_time_major_layout():
 
 def test_flat_feature_order_is_time_then_channel():
     layout = np.arange(WINDOW_LEN * 2, dtype=float).reshape(1, WINDOW_LEN, 2)
-    flat = np.array([_one_hot_linear(2, j).predict_batch(layout)[0] for j in range(4)])
+    d = dec.new_decoder(dec.DecoderSpec(family="linear", n_channels=2))
+    d.params["head.b0"].data[:] = 0.0
+    flat = []
+    for j in range(4):  # a one-hot readout of feature j of the flattened window
+        d.params["head.w0"].data[:] = 0.0
+        d.params["head.w0"].data[j, 0] = 1.0
+        flat.append(d.predict_batch(layout)[0])
     np.testing.assert_array_equal(flat[:2], layout[0, 0])
     np.testing.assert_array_equal(flat[2:4], layout[0, 1])
 
