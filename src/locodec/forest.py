@@ -6,6 +6,19 @@ the variance-reducing threshold, placed midway between consecutive distinct
 values. Leaves predict their training mean and the ensemble averages the
 trees. Thresholds and leaf values are quantized to float32 when the fit
 finishes so serialized trees reproduce in-memory predictions bit for bit.
+
+Split search is exact and vectorized per node. Each tree holds its sample
+feature-major, (features, rows). A node scores its candidate features in
+blocks of ``BLOCK_FEATURES``, which bounds its scratch memory: one sort per
+block row, cumulative sums along the rows and one masked argmin. A block
+replaces the running best only on a strictly smaller SSE, so ties go to the
+first feature drawn, then to the first cut.
+
+Blocks are sorted with numpy's default, unstable argsort. That changes the
+cumulative sums only where a run of equal x holds differing y, and then the
+block is re-sorted stably, so trees are bitwise those of a stable
+per-feature scan. This needs finite inputs: NaN would hide a tie from that
+check.
 """
 
 from __future__ import annotations
@@ -14,6 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+BLOCK_FEATURES = 32  # candidate features scored together at a node
 
 
 @dataclass(frozen=True)
@@ -32,6 +47,10 @@ class ForestSpec:
             raise ValueError(f"max_depth must be >= 1 or None, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise ValueError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        mf = self.max_features
+        is_fraction = isinstance(mf, (int, float)) and not isinstance(mf, bool) and 0.0 < mf <= 1.0
+        if mf not in ("third", "all") and not is_fraction:
+            raise ValueError(f'max_features must be "third", "all" or a fraction in (0, 1], got {mf!r}')
 
 
 @dataclass(frozen=True)
@@ -62,37 +81,50 @@ def _n_split_features(spec: ForestSpec, d: int) -> int:
         return max(1, math.ceil(d / 3))
     if spec.max_features == "all":
         return d
-    frac = float(spec.max_features)
-    if not 0.0 < frac <= 1.0:
-        raise ValueError(f"max_features fraction must be in (0, 1], got {frac}")
-    return max(1, math.ceil(frac * d))
+    return max(1, math.ceil(spec.max_features * d))
 
 
-def _best_split(x_col: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest-SSE threshold on one feature, or None if no valid cut exists."""
-    order = np.argsort(x_col, kind="stable")
-    xs = x_col[order]
+def _sort_block(xb: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``xb`` (b, m) sorted, and ``y`` (m,) carried along each
+    row's order: (xs, ys), both (b, m). Equal to a stable sort's result."""
+    order = np.argsort(xb, axis=1)
+    xs = np.take_along_axis(xb, order, axis=1)
     ys = y[order]
-    n = ys.size
-    csum = np.cumsum(ys)
-    csq = np.cumsum(ys * ys)
-    n_left = np.arange(1, n)
+    if ((xs[:, 1:] == xs[:, :-1]) & (ys[:, 1:] != ys[:, :-1])).any():
+        order = np.argsort(xb, axis=1, kind="stable")
+        xs = np.take_along_axis(xb, order, axis=1)
+        ys = y[order]
+    return xs, ys
+
+
+def _best_block_split(xb: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Lowest-SSE cut over the features (rows) of ``xb``: (sse, row,
+    threshold), or None if no row has a valid cut. Ties go to the first row,
+    then to the first cut."""
+    xs, ys = _sort_block(xb, y)
+    n = y.size
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    n_left = np.arange(1.0, n)  # float counts: same quotients, no int-to-float cast per element
     n_right = n - n_left
-    sum_l = csum[:-1]
-    sq_l = csq[:-1]
-    sum_r = csum[-1] - sum_l
-    sq_r = csq[-1] - sq_l
+    sum_l = csum[:, :-1]
+    sq_l = csq[:, :-1]
+    sum_r = csum[:, -1:] - sum_l
+    sq_r = csq[:, -1:] - sq_l
     sse = (sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / n_right)
-    valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    if not valid.any():
-        return None
+    valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
     sse = np.where(valid, sse, np.inf)
-    i = int(np.argmin(sse))
-    return float(sse[i]), 0.5 * (xs[i] + xs[i + 1])
+    cut = np.argmin(sse, axis=1)
+    row = int(np.argmin(sse[np.arange(cut.size), cut]))
+    i = int(cut[row])
+    if not valid[row, i]:
+        return None
+    return float(sse[row, i]), row, 0.5 * (xs[row, i] + xs[row, i + 1])
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
-    d = x.shape[1]
+def _grow_tree(xt: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
+    """One tree on the feature-major sample ``xt`` (d, n) with targets ``y``."""
+    d = xt.shape[0]
     k_feats = _n_split_features(spec, d)
     feature: list[int] = []
     threshold: list[float] = []
@@ -110,7 +142,7 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
 
     # Explicit stack: (node index, row indices, depth).
     root = new_node()
-    stack = [(root, np.arange(x.shape[0]), 0)]
+    stack = [(root, np.arange(y.size), 0)]
     while stack:
         node, rows, depth = stack.pop()
         ys = y[rows]
@@ -125,14 +157,15 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
             continue
         feats = rng.choice(d, size=k_feats, replace=False)
         best = None
-        for f in feats:
-            cand = _best_split(x[rows, f], ys, spec.min_samples_leaf)
+        for b in range(0, k_feats, BLOCK_FEATURES):
+            block = feats[b : b + BLOCK_FEATURES]
+            cand = _best_block_split(xt[block[:, None], rows], ys, spec.min_samples_leaf)
             if cand is not None and (best is None or cand[0] < best[0]):
-                best = (cand[0], int(f), cand[1])
+                best = (cand[0], int(block[cand[1]]), cand[2])
         if best is None:
             continue
         _, f, thr = best
-        go_left = x[rows, f] <= thr
+        go_left = xt[f, rows] <= thr
         feature[node] = f
         threshold[node] = thr
         left[node] = new_node()
@@ -149,6 +182,16 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
     )
 
 
+def _feature_major(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``x[rows].T`` as a C-contiguous (d, n) array, so each feature's sample
+    is contiguous. Copied ``BLOCK_FEATURES`` columns at a time: a one-shot
+    transpose would hold a second full-size copy."""
+    xt = np.empty((x.shape[1], rows.size))
+    for j in range(0, x.shape[1], BLOCK_FEATURES):
+        xt[j : j + BLOCK_FEATURES] = x[rows, j : j + BLOCK_FEATURES].T
+    return xt
+
+
 def forest_fit(x: np.ndarray, y: np.ndarray, spec: ForestSpec = ForestSpec()) -> Forest:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -156,12 +199,14 @@ def forest_fit(x: np.ndarray, y: np.ndarray, spec: ForestSpec = ForestSpec()) ->
         raise ValueError(f"forest_fit expects (n, d) features and (n,) targets, got {x.shape}, {y.shape}")
     if y.size < 1:
         raise ValueError("forest_fit needs at least one row")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("forest_fit needs finite features and targets")
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
     trees = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng(seeds[t])
         rows = rng.integers(0, y.size, size=y.size) if spec.bootstrap else np.arange(y.size)
-        trees.append(_grow_tree(x[rows], y[rows], spec, rng))
+        trees.append(_grow_tree(_feature_major(x, rows), y[rows], spec, rng))
     return Forest(spec=spec, n_features=x.shape[1], trees=tuple(trees))
 
 
