@@ -33,7 +33,6 @@ from .sessions import (
     GateResult,
     Normalizer,
     Session,
-    SplitSpec,
     apply_inclusion_gate,
     apply_normalizer,
     fit_normalizer,
@@ -43,7 +42,6 @@ from .sessions import (
     preprocess_raw,
     session_iqr,
     split_ranges,
-    split_session,
     window_arrays,
     write_session,
 )

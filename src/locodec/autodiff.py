@@ -21,14 +21,13 @@ from .errors import ShapeError
 class Tensor:
     """Graph node: a float64 array plus gradient slot and provenance."""
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "trainable", "name")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "name")
 
-    def __init__(self, data, trainable: bool = False, name: str | None = None):
+    def __init__(self, data, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.parents: tuple[Tensor, ...] = ()
         self.backward_fn = None
-        self.trainable = trainable
         self.name = name
 
     @property
@@ -37,12 +36,12 @@ class Tensor:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         tag = self.name or "tensor"
-        return f"<{tag} shape={self.data.shape} trainable={self.trainable}>"
+        return f"<{tag} shape={self.data.shape}>"
 
 
 def parameter(data, name: str) -> Tensor:
     """A trainable leaf. Copies its input so later graph ops cannot alias it."""
-    return Tensor(np.array(data, dtype=np.float64), trainable=True, name=name)
+    return Tensor(np.array(data, dtype=np.float64), name=name)
 
 
 def constant(data) -> Tensor:
@@ -82,19 +81,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward_fn(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _node(data, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-    def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _node(data, (a, b), backward_fn)
 

@@ -1,8 +1,9 @@
 """Command-line surface: synth, ingest, train, eval, experiment, report.
 
-Every run writes its fully-resolved configuration next to its outputs, and
-every output CSV embeds the config hash and master seed on a leading
-comment line. Outputs are written atomically (temp file + rename). Exit
+Every run writes its fully-resolved configuration next to its outputs.
+Tables are written by :func:`protocols.table_text`; all but timings,
+skipped cells and band energies embed the config hash and master seed on
+a leading comment line. Outputs are written atomically (temp file + rename). Exit
 codes: 0 success, 1 pipeline error, 2 malformed input or configuration.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ResolvedRun, load_config, parse_config_text, resolve
+from .config import ResolvedRun, load_config, resolve
 from .decoders import load_state, save_state
 from .errors import (
     ConfigError,
@@ -37,6 +38,8 @@ from .protocols import (
     run_region_analysis,
     run_single_session,
     run_transfer,
+    table_header,
+    table_text,
     timings_to_csv_text,
     parse_results_csv,
 )
@@ -56,10 +59,6 @@ from .sessions import (
 from .synthetic import generate_synthetic_fleet
 
 _INPUT_ERRORS = (ConfigError, FormatError, IntegrityError, UnsupportedRateError, FileNotFoundError)
-
-
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_atomic(path: Path, data) -> None:
@@ -95,12 +94,12 @@ def _load_sessions(cfg: ResolvedRun):
 
 
 def _gate_report_text(gate, config_hash: str, seed: int) -> str:
-    lines = [f"# config_hash={config_hash} seed={seed}", "session_id,iqr,threshold,included"]
     included_ids = {s.id for s in gate.included}
-    rows = sorted(gate.iqrs.items())
-    for sid, iqr in rows:
-        lines.append(f"{sid},{_fmt(float(iqr))},{_fmt(float(gate.threshold))},{str(sid in included_ids).lower()}")
-    return "\n".join(lines) + "\n"
+    rows = (
+        (sid, iqr, gate.threshold, "true" if sid in included_ids else "false")
+        for sid, iqr in sorted(gate.iqrs.items())
+    )
+    return table_text(("session_id", "iqr", "threshold", "included"), rows, config_hash, seed)
 
 
 def _resolve_from_args(args) -> ResolvedRun:
@@ -278,26 +277,20 @@ def cmd_experiment(args) -> int:
             raise ConfigError("experiment.kind=transfer needs a zeroshot_* or finetune_* strategy")
         tr = run_transfer(sessions, cfg.plan, jobs=jobs)
         results, timings = tr.aggregated, tr.timings
-        pair_lines = [f"# config_hash={cfg.config_hash} seed={cfg.seed}"]
-        pair_lines.append("source_id,target_id,r,r2,n_test_windows")
-        for res in sorted(tr.pair_results, key=lambda r: (r.source_id, r.session_id)):
-            pair_lines.append(
-                f"{res.source_id},{res.session_id},{_fmt(res.r)},{_fmt(res.r2)},{res.n_test_windows}"
-            )
-        _write_atomic(out_dir / "results_pairs.csv", "\n".join(pair_lines) + "\n")
+        pairs = sorted(tr.pair_results, key=lambda r: (r.source_id, r.session_id))
+        rows = ((r.source_id, r.session_id, r.r, r.r2, r.n_test_windows) for r in pairs)
+        columns = ("source_id", "target_id", "r", "r2", "n_test_windows")
+        _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, cfg.seed))
     elif cfg.kind == "regions":
         out = run_region_analysis(sessions, cfg.plan, include_pairs=cfg.include_pairs, jobs=jobs)
         results, timings = out.results, out.timings
         if out.skipped:
-            lines = ["session_id,region_set"] + [f"{sid},{cell}" for sid, cell in out.skipped]
-            _write_atomic(out_dir / "skipped.csv", "\n".join(lines) + "\n")
+            _write_atomic(out_dir / "skipped.csv", table_text(("session_id", "region_set"), out.skipped))
     elif cfg.kind == "bands":
         out = run_band_analysis(sessions, cfg.plan, bands=cfg.bands, jobs=jobs)
         results, timings = out.results, out.timings
-        lines = ["session_id,band,mean_channel_variance"]
-        for sid, band_name, energy in out.band_energies:
-            lines.append(f"{sid},{band_name},{_fmt(energy)}")
-        _write_atomic(out_dir / "band_energies.csv", "\n".join(lines) + "\n")
+        columns = ("session_id", "band", "mean_channel_variance")
+        _write_atomic(out_dir / "band_energies.csv", table_text(columns, out.band_energies))
     elif cfg.kind == "offsets":
         out = run_offset_analysis(
             sessions,
@@ -319,20 +312,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _embedded_header(text: str) -> tuple[str, int]:
-    for line in text.splitlines():
-        if line.startswith("#"):
-            parts = dict(
-                kv.split("=", 1) for kv in line.lstrip("# ").split() if "=" in kv
-            )
-            return parts.get("config_hash", ""), int(parts.get("seed", 0) or 0)
-        break
-    return "", 0
-
-
 def cmd_report(args) -> int:
     text = Path(args.results).read_text(encoding="utf-8")
-    config_hash, seed = _embedded_header(text)
+    config_hash, seed = table_header(text)
     results = parse_results_csv(text)
     out_dir = Path(args.out)
     _write_atomic(out_dir / "medians.csv", medians_csv_text(results, config_hash, seed))

@@ -74,7 +74,11 @@ def _opt_int(raw: str):
 
 
 # key -> (parser, default). Defaults mirror the dataclass defaults; the
-# registry is the single source of truth for what a config may say.
+# registry is the single source of truth for what a config may say. Under
+# the prefixes dataset.synthetic., decoder., train. and plan. the rest of a
+# key is a field name of FleetSpec, DecoderSpec, TrainConfig or
+# ExperimentPlan (train.session excepted): resolve passes each value to
+# its field by that name.
 REGISTRY: dict[str, tuple] = {
     "run.out_dir": (_str, "runs/out"),
     "run.seed": (_int, 0),
@@ -209,6 +213,12 @@ class ResolvedRun:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+def _section(values: dict, prefix: str) -> dict:
+    """Keyword arguments for one spec: the keys under ``prefix``, named by
+    the rest of the key, which is the spec's field name."""
+    return {key[len(prefix):]: value for key, value in values.items() if key.startswith(prefix)}
+
+
 def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> ResolvedRun:
     """Typed resolution with CLI overrides taking precedence over file values
     and both over registry defaults."""
@@ -238,63 +248,17 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
         raise ConfigError(f"plan.band must be one of {BAND_NAMES}")
 
     try:
-        fleet = FleetSpec(
-            n_rats=values["dataset.synthetic.n_rats"],
-            sessions_per_rat=values["dataset.synthetic.sessions_per_rat"],
-            n_channels=values["dataset.synthetic.n_channels"],
-            duration_s=values["dataset.synthetic.duration_s"],
-            sample_rate_hz=values["dataset.synthetic.sample_rate_hz"],
-            encoding=values["dataset.synthetic.encoding"],
-            signal_regions=values["dataset.synthetic.signal_regions"],
-            carrier_band=values["dataset.synthetic.carrier_band"],
-            noise_scale=values["dataset.synthetic.noise_scale"],
-            linear_mix=values["dataset.synthetic.linear_mix"],
-            lead_ms=values["dataset.synthetic.lead_ms"],
-            eight_hz_gain=values["dataset.synthetic.eight_hz_gain"],
-            speed_tau_s=values["dataset.synthetic.speed_tau_s"],
-            speed_bias=values["dataset.synthetic.speed_bias"],
-            speed_scale=values["dataset.synthetic.speed_scale"],
-            session_gain_jitter=values["dataset.synthetic.session_gain_jitter"],
-            scramble_channels=values["dataset.synthetic.scramble_channels"],
-            seed=values["dataset.synthetic.seed"],
-        )
+        fleet = FleetSpec(**_section(values, "dataset.synthetic."))
         decoder = DecoderSpec(
-            family=values["decoder.family"],
+            **_section(values, "decoder."),
             # fitting replaces this with the prepared session's channel count
             n_channels=1 if values["decoder.family"] == "speed_rnn" else DecoderSpec.n_channels,
-            ffnn_hidden=values["decoder.ffnn_hidden"],
-            lstm_hidden=values["decoder.lstm_hidden"],
-            head_hidden=values["decoder.head_hidden"],
-            embed_dim=values["decoder.embed_dim"],
-            n_heads=values["decoder.n_heads"],
-            n_blocks=values["decoder.n_blocks"],
-            conv_kernel=values["decoder.conv_kernel"],
-            dropout=values["decoder.dropout"],
-            n_trees=values["decoder.n_trees"],
-            max_depth=values["decoder.max_depth"],
-            use_positional=values["decoder.use_positional"],
         )
-        train = TrainConfig(
-            max_epochs=values["train.max_epochs"],
-            batch_size=values["train.batch_size"],
-            learning_rate=values["train.learning_rate"],
-            optimizer=values["train.optimizer"],
-            beta1=values["train.beta1"],
-            beta2=values["train.beta2"],
-            adam_eps=values["train.adam_eps"],
-            patience=values["train.patience"],
-        )
+        train_args = _section(values, "train.")
+        del train_args["session"]  # the session `locodec train` fits, not a training setting
+        train = TrainConfig(**train_args)
         plan = ExperimentPlan(
-            decoder=decoder,
-            train=train,
-            strategy=values["plan.strategy"],
-            region_set=values["plan.region_set"],
-            band=values["plan.band"],
-            offset_ms=values["plan.offset_ms"],
-            refit_normalizer=values["plan.refit_normalizer"],
-            refresh_normalizer=values["plan.refresh_normalizer"],
-            clip_nonnegative=values["plan.clip_nonnegative"],
-            master_seed=values["run.seed"],
+            decoder=decoder, train=train, master_seed=values["run.seed"], **_section(values, "plan.")
         )
     except (ValueError, PlanError) as exc:
         raise ConfigError(str(exc))

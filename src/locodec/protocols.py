@@ -28,7 +28,7 @@ import hashlib
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -658,10 +658,34 @@ RESULTS_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+def _cell(value) -> str:
+    # repr keeps every float exact on read-back; numpy floats are written
+    # as the plain number, not as np.float64(...)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
+
+
+def table_text(columns, rows, config_hash: str | None = None, seed: int = 0) -> str:
+    """The one CSV format of every output table: a ``# config_hash=... seed=...``
+    line unless ``config_hash`` is None, the column names, then one line per
+    row. A row is a mapping keyed by column name or a sequence in column
+    order; floats are written with ``repr`` so they read back exactly."""
+    lines = [] if config_hash is None else [f"# config_hash={config_hash} seed={seed}"]
+    lines.append(",".join(columns))
+    for row in rows:
+        cells = [row[c] for c in columns] if isinstance(row, dict) else row
+        lines.append(",".join(_cell(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def table_header(text: str) -> tuple[str, int]:
+    """(config_hash, seed) from a table's leading comment line, or ("", 0)."""
+    first = next(iter(text.splitlines()), "")
+    if not first.startswith("#"):
+        return "", 0
+    parts = dict(kv.split("=", 1) for kv in first.lstrip("# ").split() if "=" in kv)
+    return parts.get("config_hash", ""), int(parts.get("seed", 0) or 0)
 
 
 def results_sort_key(res: EvalResult):
@@ -680,33 +704,17 @@ def results_to_csv_text(results, config_hash: str = "", master_seed: int = 0) ->
     """Canonical results table. Rows are sorted deterministically and carry
     no durations, so identical configurations serialize bitwise identically;
     real durations live in the timings table."""
-    lines = [f"# config_hash={config_hash} seed={master_seed}", ",".join(RESULTS_COLUMNS)]
-    for res in sorted(results, key=results_sort_key):
-        lines.append(
-            ",".join(
-                [
-                    res.session_id,
-                    res.rat_id,
-                    res.strategy,
-                    res.region_set,
-                    res.band,
-                    str(res.offset_ms),
-                    res.model,
-                    _fmt(res.r),
-                    _fmt(res.r2),
-                    str(res.n_test_windows),
-                    str(res.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([getattr(res, c) for c in RESULTS_COLUMNS] for res in sorted(results, key=results_sort_key))
+    return table_text(RESULTS_COLUMNS, rows, config_hash, master_seed)
 
 
 def timings_to_csv_text(timings) -> str:
-    lines = ["label,wall_time_s"]
-    for label, secs in timings:
-        lines.append(f"{label},{_fmt(float(secs))}")
-    return "\n".join(lines) + "\n"
+    return table_text(("label", "wall_time_s"), timings)
+
+
+# field annotations are strings here (postponed evaluation)
+_CELL_TYPES = {"str": str, "int": int, "float": float}
+_RESULT_TYPES = {f.name: _CELL_TYPES[f.type] for f in fields(EvalResult)}
 
 
 def parse_results_csv(text: str) -> list[EvalResult]:
@@ -722,21 +730,7 @@ def parse_results_csv(text: str) -> list[EvalResult]:
         if len(f) != len(RESULTS_COLUMNS):
             raise FormatError(f"results line {i}: {len(f)} fields, expected {len(RESULTS_COLUMNS)}")
         try:
-            out.append(
-                EvalResult(
-                    session_id=f[0],
-                    rat_id=f[1],
-                    strategy=f[2],
-                    region_set=f[3],
-                    band=f[4],
-                    offset_ms=int(f[5]),
-                    model=f[6],
-                    r=float(f[7]),
-                    r2=float(f[8]),
-                    n_test_windows=int(f[9]),
-                    seed=int(f[10]),
-                )
-            )
+            out.append(EvalResult(**{c: _RESULT_TYPES[c](v) for c, v in zip(RESULTS_COLUMNS, f)}))
         except ValueError as exc:
             raise FormatError(f"results line {i}: {exc}") from exc
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dsp import aggregate_decile_spectra, speed_decile_spectra
-from .protocols import EvalResult, derive_seed
+from .protocols import EvalResult, derive_seed, table_text
 from .stats import (
     PairedScores,
     bootstrap_median_ci,
@@ -23,10 +23,6 @@ from .stats import (
 from .errors import FitError
 
 N_BOOT = 2000
-
-
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _group_key(res: EvalResult) -> tuple:
@@ -88,10 +84,7 @@ MEDIANS_COLUMNS = (
 
 
 def medians_csv_text(results, config_hash: str = "", seed: int = 0) -> str:
-    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(MEDIANS_COLUMNS)]
-    for row in median_rows(results):
-        lines.append(",".join(_fmt(row[c]) for c in MEDIANS_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return table_text(MEDIANS_COLUMNS, median_rows(results), config_hash, seed)
 
 
 def variant_tests(results: list[EvalResult], metric: str = "r"):
@@ -122,22 +115,11 @@ TESTS_COLUMNS = ("comparison", "metric", "statistic", "p_raw", "p_bonferroni", "
 
 
 def tests_csv_text(results, metric: str = "r", config_hash: str = "", seed: int = 0) -> str:
-    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(TESTS_COLUMNS)]
-    for t in variant_tests(results, metric):
-        lines.append(
-            ",".join(
-                [
-                    t.comparison,
-                    t.metric,
-                    _fmt(float(t.statistic)),
-                    _fmt(float(t.p_raw)),
-                    _fmt(float(t.p_adjusted)),
-                    str(t.n),
-                    t.method,
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (t.comparison, t.metric, t.statistic, t.p_raw, t.p_adjusted, t.n, t.method)
+        for t in variant_tests(results, metric)
+    )
+    return table_text(TESTS_COLUMNS, rows, config_hash, seed)
 
 
 def offset_curve_rows(results: list[EvalResult]) -> tuple[list[dict], list[dict]]:
@@ -178,37 +160,27 @@ FITS_COLUMNS = ("model", "c0", "c1", "c2")
 
 def curves_csv_text(results, config_hash: str = "", seed: int = 0) -> tuple[str, str]:
     curve_rows, fit_rows = offset_curve_rows(results)
-    head = f"# config_hash={config_hash} seed={seed}"
-    curves = [head, ",".join(CURVES_COLUMNS)]
-    for row in curve_rows:
-        curves.append(",".join(_fmt(row[c]) for c in CURVES_COLUMNS))
-    fits = [head, ",".join(FITS_COLUMNS)]
-    for row in fit_rows:
-        fits.append(",".join(_fmt(row[c]) for c in FITS_COLUMNS))
-    return "\n".join(curves) + "\n", "\n".join(fits) + "\n"
+    return (
+        table_text(CURVES_COLUMNS, curve_rows, config_hash, seed),
+        table_text(FITS_COLUMNS, fit_rows, config_hash, seed),
+    )
 
 
 SPECTRA_COLUMNS = ("decile", "freq_hz", "f_times_psd_mean", "f_times_psd_sem", "n_sessions")
 
 
 def spectra_csv_text(sessions, config_hash: str = "", seed: int = 0) -> str:
-    """Speed-decile f·P(f) spectra averaged across sessions."""
-    per_session = [speed_decile_spectra(s) for s in sessions]
-    agg = aggregate_decile_spectra(per_session)
-    lines = [f"# config_hash={config_hash} seed={seed}", ",".join(SPECTRA_COLUMNS)]
-    for d in range(agg.mean.shape[0]):
-        if np.all(np.isnan(agg.mean[d])):
-            continue
-        for j, f in enumerate(agg.frequencies):
-            lines.append(
-                ",".join(
-                    [
-                        str(d + 1),
-                        _fmt(float(f)),
-                        _fmt(float(agg.mean[d, j])),
-                        _fmt(float(agg.sem[d, j])),
-                        str(int(agg.n_sessions[d])),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    """Speed-decile f·P(f) spectra averaged across sessions.
+
+    A decile that no session filled gets no rows, so the table can hold
+    fewer than ten deciles: a session fills a decile only with a contiguous
+    run of at least ``nfft`` samples in it (see :func:`speed_decile_spectra`),
+    and on short sessions deciles 2-8 are often left empty."""
+    agg = aggregate_decile_spectra([speed_decile_spectra(s) for s in sessions])
+    rows = (
+        (d + 1, f, agg.mean[d, j], agg.sem[d, j], int(agg.n_sessions[d]))
+        for d in range(agg.mean.shape[0])
+        if not np.all(np.isnan(agg.mean[d]))
+        for j, f in enumerate(agg.frequencies)
+    )
+    return table_text(SPECTRA_COLUMNS, rows, config_hash, seed)

@@ -374,11 +374,6 @@ class GateResult:
     threshold: float
     iqrs: dict
 
-    @property
-    def retention(self) -> float:
-        total = len(self.included) + len(self.excluded)
-        return len(self.included) / total if total else 0.0
-
 
 def apply_inclusion_gate(sessions, threshold: float | None = None) -> GateResult:
     """Drop low-movement sessions whose speed IQR is at or below a threshold.
@@ -401,40 +396,20 @@ def apply_inclusion_gate(sessions, threshold: float | None = None) -> GateResult
 # sequential splits
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_frac: float = 0.8
-    val_frac: float = 0.1
-    test_frac: float = 0.1
-
-    def __post_init__(self):
-        fracs = (self.train_frac, self.val_frac, self.test_frac)
-        if any(f < 0 for f in fracs):
-            raise ValueError(f"split fractions must be non-negative, got {fracs}")
-        if abs(sum(fracs) - 1.0) > 1e-9:
-            raise ValueError(f"split fractions must sum to 1, got {fracs}")
-
-
-def split_ranges(
-    n_samples: int, spec: SplitSpec = SplitSpec(), label: str = "session"
-) -> tuple[range, range, range]:
-    """Sequential train/val/test index ranges. Boundaries are floor(frac * T)
-    so the remainder lands in the test segment; any nonempty segment shorter
-    than one window is an error."""
-    b1 = math.floor(spec.train_frac * n_samples)
-    b2 = math.floor((spec.train_frac + spec.val_frac) * n_samples)
+def split_ranges(n_samples: int) -> tuple[range, range, range]:
+    """Sequential 80/10/10 train/val/test index ranges. Boundaries are
+    floor(frac * T) so the remainder lands in the test segment; any nonempty
+    segment shorter than one window is an error."""
+    b1 = math.floor(0.8 * n_samples)
+    b2 = math.floor(0.9 * n_samples)
     segments = (range(0, b1), range(b1, b2), range(b2, n_samples))
     for name, seg in zip(("train", "val", "test"), segments):
         if 0 < len(seg) < WINDOW_LEN:
             raise SplitError(
-                f"{label}: {name} segment has {len(seg)} samples, "
+                f"session: {name} segment has {len(seg)} samples, "
                 f"shorter than one window ({WINDOW_LEN})"
             )
     return segments
-
-
-def split_session(s: Session, spec: SplitSpec = SplitSpec()) -> tuple[range, range, range]:
-    return split_ranges(s.n_samples, spec, label=f"session {s.id}")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
+from locodec.protocols import EvalResult, results_to_csv_text
 from locodec.sessions import ingest_session
 
 BASE_CFG = {
@@ -267,6 +268,22 @@ def test_report_single_variant_emits_no_tests(tmp_path):
     assert len(curve_rows) == 1
     _, fit_rows = rows_of(rep / "offset_curve_fits.csv")
     assert fit_rows == []  # quadratic fit needs >= 3 offsets
+
+
+def test_report_fit_coefficients_are_plain_numbers(tmp_path):
+    rows = [
+        EvalResult(sid, sid[:5], "single_80", "all", "fullband", off, "linear", r, r * r, 90, 0)
+        for off, rs in ((-100, (0.5, 0.4, 0.6)), (0, (0.7, 0.6, 0.65)), (100, (0.55, 0.5, 0.6)))
+        for sid, r in zip(("rat01_s01", "rat01_s02", "rat02_s01"), rs)
+    ]
+    results, rep = tmp_path / "results.csv", tmp_path / "rep"
+    results.write_text(results_to_csv_text(rows))
+    assert entrypoint(["report", str(results), "--out", str(rep)]) == 0
+    header, fit_rows = rows_of(rep / "offset_curve_fits.csv")
+    assert header == "model,c0,c1,c2"
+    assert len(fit_rows) == 1
+    for cell in fit_rows[0].split(",")[1:]:
+        float(cell)
 
 
 def test_report_embeds_the_source_config_hash(tmp_path):
