@@ -8,11 +8,11 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- seven experiments, each followed by ``report``: ``baseline`` (ffnn,
+- eight experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
-  quadratic fit has a row), ``finetune_cross_subject`` and a gated
-  ``baseline``;
+  quadratic fit has a row), ``finetune_cross_subject``, a gated
+  ``baseline`` and a ``transformer_encoder`` baseline;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``eval`` of that model at -100, 0 and 200 ms;
 - ``ingest`` of the written sessions, then ``report --sessions``.
@@ -64,6 +64,7 @@ EXPERIMENTS = {
     "offsets": {"experiment.kind": "offsets", "experiment.offsets_ms": "-100,0,100"},
     "finetune": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject"},
     "gated": {"dataset.apply_gate": "true"},
+    "transformer": {"decoder.family": "transformer_encoder", "decoder.embed_dim": "8", "decoder.n_heads": "2"},
 }
 
 

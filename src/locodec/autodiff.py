@@ -56,9 +56,9 @@ def _node(data, parents, backward_fn) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g
+    # The first gradient is stored as is and may alias another node's: safe
+    # only while no op, optimizer or trainer step updates a .grad in place.
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -109,25 +109,27 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """Product over the last two axes; leading (stack) axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}")
     data = a.data @ b.data
 
     def backward_fn(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), backward_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got shape {a.data.shape}")
+    """Swap the last two axes."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2-d, got shape {a.data.shape}")
 
     def backward_fn(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
-    return _node(a.data.T.copy(), (a,), backward_fn)
+    return _node(np.swapaxes(a.data, -1, -2).copy(), (a,), backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -208,47 +210,45 @@ def narrow(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _node(a.data[sl].copy(), (a,), backward_fn)
 
 
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    data = a.data.mean(axis=axis)
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def backward_fn(g):
-        if axis is None:
-            _accum(a, np.full_like(a.data, float(g) / count))
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g / count, a.data.shape).copy())
 
     return _node(data, (a,), backward_fn)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid 1-d convolution over the leading axis.
+    """Valid 1-d convolution over axis -2; leading axes of x are a stack.
 
-    x: (T, C_in), w: (K, C_in, C_out), b: (C_out,) -> (T - K + 1, C_out).
+    x: (..., T, C_in), w: (K, C_in, C_out), b: (C_out,) -> (..., T - K + 1, C_out).
     """
-    if x.data.ndim != 2 or w.data.ndim != 3 or x.data.shape[1] != w.data.shape[1]:
+    if x.data.ndim < 2 or w.data.ndim != 3 or x.data.shape[-1] != w.data.shape[1]:
         raise ShapeError(f"conv1d: incompatible shapes {x.data.shape} and {w.data.shape}")
-    t, _ = x.data.shape
-    k = w.data.shape[0]
+    *stack, t, c_in = x.data.shape
+    k, _, c_out = w.data.shape
     if t < k:
         raise ShapeError(f"conv1d: input length {t} shorter than kernel {k}")
     length = t - k + 1
-    data = np.zeros((length, w.data.shape[2]))
+    data = np.zeros((*stack, length, c_out))
     for i in range(k):
-        data += x.data[i : i + length] @ w.data[i]
+        data += x.data[..., i : i + length, :] @ w.data[i]
     data = data + b.data
 
     def backward_fn(g):
         gx = np.zeros_like(x.data)
         gw = np.zeros_like(w.data)
+        g_rows = g.reshape(-1, c_out)
         for i in range(k):
-            gx[i : i + length] += g @ w.data[i].T
-            gw[i] = x.data[i : i + length].T @ g
+            gx[..., i : i + length, :] += g @ w.data[i].T
+            gw[i] = x.data[..., i : i + length, :].reshape(-1, c_in).T @ g_rows
         _accum(x, gx)
         _accum(w, gw)
-        _accum(b, g.sum(axis=0))
+        _accum(b, g_rows.sum(axis=0))
 
     return _node(data, (x, w, b), backward_fn)
 

@@ -93,7 +93,7 @@ def _load_sessions(cfg: ResolvedRun):
     return sessions, gate
 
 
-def _gate_report_text(gate, config_hash: str, seed: int) -> str:
+def _gate_report_text(gate, config_hash: str | None, seed: int) -> str:
     included_ids = {s.id for s in gate.included}
     rows = (
         (sid, iqr, gate.threshold, "true" if sid in included_ids else "false")
@@ -167,7 +167,7 @@ def cmd_ingest(args) -> int:
             print(f"error: {path}: {exc}", file=sys.stderr)
     if sessions:
         gate = apply_inclusion_gate(sessions, threshold=args.iqr_threshold)
-        _write_atomic(out_dir / "gate_report.csv", _gate_report_text(gate, "", 0))
+        _write_atomic(out_dir / "gate_report.csv", _gate_report_text(gate, None, 0))
         print(
             f"ingested {len(sessions)} sessions; gate retained "
             f"{len(gate.included)} at threshold {gate.threshold:.6g}"

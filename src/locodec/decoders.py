@@ -8,9 +8,9 @@ nowhere else. The families are a linear readout, a bagged CART forest, a
 feedforward net on the flattened window, a single-layer LSTM over the 20
 steps, and a one-block encoder-style transformer (token projection,
 sinusoidal positions, bidirectional multi-head attention, a width-3
-convolution over tokens, dense head). All trainable families run on the
-package's own autodiff graph; the forest is fitted greedily and wrapped
-behind the same predict surface.
+convolution over tokens, dense head). Each trainable family runs one batch
+forward on the package's own autodiff graph, whose ops take window stacks;
+the forest is fitted greedily and wrapped behind the same predict surface.
 
 Body/head naming is load-bearing: parameters prefixed ``head.`` form the
 final dense stack and are the only ones updated when fine-tuning with a
@@ -181,7 +181,7 @@ def _window_input(spec: DecoderSpec, x) -> np.ndarray:
             f"{spec.family} decoder takes (n, {spec.window_len}, {spec.n_channels}) "
             f"window stacks, got shape {x.shape}"
         )
-    return x.reshape(x.shape[0], -1) if spec.family in FLAT_FAMILIES else x
+    return x.reshape(len(x), spec.flat_dim) if spec.family in FLAT_FAMILIES else x
 
 
 class Decoder:
@@ -264,14 +264,14 @@ class Decoder:
         h = _dropout(h, self.spec.dropout, rng)
         return _mlp_head(h, p, "head", self.spec.head_hidden, self.spec.dropout, rng)
 
-    def _forward_transformer_one(self, x2d: np.ndarray, rng, collect_attn=None) -> ad.Tensor:
+    def _forward_transformer(self, x3d: np.ndarray, rng, collect_attn=None) -> ad.Tensor:
         p = self.params
         spec = self.spec
         e = spec.embed_dim
         dh = e // spec.n_heads
-        tok = ad.add(ad.matmul(ad.constant(x2d), p["body.embed_w"]), p["body.embed_b"])
+        tok = ad.add(ad.matmul(ad.constant(x3d), p["body.embed_w"]), p["body.embed_b"])
         if spec.use_positional:
-            tok = ad.add(tok, ad.constant(positional_encoding(x2d.shape[0], e)))
+            tok = ad.add(tok, ad.constant(positional_encoding(x3d.shape[1], e)))
         for blk in range(spec.n_blocks):
             q = ad.add(ad.matmul(tok, p[f"body.blk{blk}.wq"]), p[f"body.blk{blk}.qb"])
             k = ad.add(ad.matmul(tok, p[f"body.blk{blk}.wk"]), p[f"body.blk{blk}.kb"])
@@ -279,17 +279,17 @@ class Decoder:
             heads = []
             for hi in range(spec.n_heads):
                 lo, hi_end = hi * dh, (hi + 1) * dh
-                qh = ad.narrow(q, 1, lo, hi_end)
-                kh = ad.narrow(k, 1, lo, hi_end)
-                vh = ad.narrow(v, 1, lo, hi_end)
+                qh = ad.narrow(q, 2, lo, hi_end)
+                kh = ad.narrow(k, 2, lo, hi_end)
+                vh = ad.narrow(v, 2, lo, hi_end)
                 scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-                attn = ad.softmax(scores, axis=1)
+                attn = ad.softmax(scores, axis=2)
                 if collect_attn is not None:
-                    collect_attn.append(attn.data.copy())
+                    collect_attn.append(attn.data[0])
                 heads.append(ad.matmul(attn, vh))
-            tok = ad.add(ad.matmul(ad.concat(heads, axis=1), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
+            tok = ad.add(ad.matmul(ad.concat(heads, axis=2), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
         z = ad.relu(ad.conv1d(tok, p["body.conv_w"], p["body.conv_b"]))
-        pooled = _dropout(ad.mean(z, axis=0, keepdims=True), spec.dropout, rng)
+        pooled = _dropout(ad.mean(z, axis=1), spec.dropout, rng)
         return _mlp_head(pooled, p, "head", spec.head_hidden, spec.dropout, rng)
 
     def _forward(self, x: np.ndarray, rng=None) -> ad.Tensor:
@@ -299,8 +299,7 @@ class Decoder:
         if fam in RECURRENT_FAMILIES:
             return self._forward_lstm(x, rng)
         if fam == "transformer_encoder":
-            outs = [self._forward_transformer_one(x[i], rng) for i in range(x.shape[0])]
-            return outs[0] if len(outs) == 1 else ad.concat(outs, axis=0)
+            return self._forward_transformer(x, rng)
         raise ValueError(f"family {fam} has no differentiable forward pass")
 
     def loss_batch(self, x: np.ndarray, y: np.ndarray, train_rng=None) -> ad.Tensor:
@@ -313,8 +312,6 @@ class Decoder:
             if self.forest is None:
                 raise SpecMismatchError("random_forest decoder has not been fitted")
             return forest_predict(self.forest, x)
-        if x.shape[0] == 0:
-            return np.empty(0)
         return self._forward(x).data.reshape(-1).copy()
 
 
@@ -336,7 +333,7 @@ def attention_maps(decoder: Decoder, layout: np.ndarray) -> np.ndarray:
     if decoder.spec.family != "transformer_encoder":
         raise ValueError("attention maps exist only for transformer_encoder")
     collected: list[np.ndarray] = []
-    decoder._forward_transformer_one(np.asarray(layout, dtype=np.float64), None, collect_attn=collected)
+    decoder._forward_transformer(np.asarray(layout, dtype=np.float64)[None], None, collect_attn=collected)
     return np.stack(collected)
 
 

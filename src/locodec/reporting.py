@@ -89,9 +89,10 @@ def medians_csv_text(results, config_hash: str = "", seed: int = 0) -> str:
 
 def variant_tests(results: list[EvalResult], metric: str = "r"):
     """Friedman omnibus plus Bonferroni-adjusted pairwise Wilcoxon outcomes
-    for every (strategy, region, band, offset) group holding at least two
-    decoding variants over at least three shared sessions. Autocorrelation
-    rows are reference curves, not decoders, and are excluded."""
+    for every (strategy, region_set, band, offset_ms) group holding at least
+    two decoding variants over at least three shared sessions, yielded as
+    (group, outcome) pairs. Autocorrelation rows are reference curves, not
+    decoders, and are excluded."""
     slots: dict[tuple, dict[str, dict[str, float]]] = {}
     for res in results:
         if res.model == "autocorrelation":
@@ -99,7 +100,6 @@ def variant_tests(results: list[EvalResult], metric: str = "r"):
         ctx = (res.strategy, res.region_set, res.band, res.offset_ms)
         table = slots.setdefault(ctx, {})
         table.setdefault(res.model, {})[res.session_id] = getattr(res, metric)
-    outcomes = []
     for ctx in sorted(slots):
         table = slots[ctx]
         if len(table) < 2:
@@ -107,17 +107,20 @@ def variant_tests(results: list[EvalResult], metric: str = "r"):
         scores = PairedScores.from_mapping(metric, table)
         if scores.table.shape[0] < 3:
             continue
-        outcomes.extend(compare_variants(scores))
-    return outcomes
+        for outcome in compare_variants(scores):
+            yield ctx, outcome
 
 
-TESTS_COLUMNS = ("comparison", "metric", "statistic", "p_raw", "p_bonferroni", "n", "method")
+TESTS_COLUMNS = (
+    "strategy", "region_set", "band", "offset_ms",
+    "comparison", "metric", "statistic", "p_raw", "p_bonferroni", "n", "method",
+)
 
 
 def tests_csv_text(results, metric: str = "r", config_hash: str = "", seed: int = 0) -> str:
     rows = (
-        (t.comparison, t.metric, t.statistic, t.p_raw, t.p_adjusted, t.n, t.method)
-        for t in variant_tests(results, metric)
+        (*ctx, t.comparison, t.metric, t.statistic, t.p_raw, t.p_adjusted, t.n, t.method)
+        for ctx, t in variant_tests(results, metric)
     )
     return table_text(TESTS_COLUMNS, rows, config_hash, seed)
 

@@ -52,6 +52,14 @@ def test_conv1d_matches_direct_sum():
     np.testing.assert_allclose(out, direct, rtol=0, atol=1e-12)
 
 
+def test_conv1d_on_a_stack_equals_the_2d_op_per_item_bitwise():
+    rng = RNG(15)
+    x, w, b = rng.normal(size=(6, 20, 4)), rng.normal(size=(3, 4, 5)), rng.normal(size=5)
+    stacked = ad.conv1d(ad.constant(x), ad.constant(w), ad.constant(b)).data
+    per_item = [ad.conv1d(ad.constant(xi), ad.constant(w), ad.constant(b)).data for xi in x]
+    assert stacked.tobytes() == np.stack(per_item).tobytes()
+
+
 def test_softmax_rows_sum_to_one():
     rng = RNG(4)
     out = ad.softmax(ad.constant(rng.normal(size=(6, 7)) * 50.0), axis=1)
@@ -149,6 +157,24 @@ def _linear_loss(seed=0):
 def test_gradcheck_linear_model_tight():
     build, params = _linear_loss()
     report = ad.gradcheck(build, params, tolerance=1e-6)
+    assert report.passed, f"max rel err {report.max_rel_err:.2e}"
+
+
+@pytest.mark.parametrize(
+    "op, shapes",
+    [
+        (ad.matmul, [(4, 5, 3), (3, 2)]),  # window stack @ weight matrix
+        (ad.matmul, [(4, 5, 3), (4, 3, 5)]),  # stack @ stack, as for attention scores
+        (ad.transpose, [(4, 5, 3)]),
+        (ad.conv1d, [(4, 9, 2), (3, 2, 5), (5,)]),
+    ],
+    ids=["matmul_stack_matrix", "matmul_stack_stack", "transpose_3d", "conv1d_stack"],
+)
+def test_gradcheck_ops_on_window_stacks(op, shapes):
+    rng = RNG(16)
+    params = [ad.parameter(rng.normal(size=s), f"arg{i}") for i, s in enumerate(shapes)]
+    target = ad.constant(rng.normal(size=op(*params).data.shape))
+    report = ad.gradcheck(lambda: ad.mse(op(*params), target), params, n_samples=60, tolerance=1e-6)
     assert report.passed, f"max rel err {report.max_rel_err:.2e}"
 
 

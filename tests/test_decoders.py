@@ -4,9 +4,12 @@ Gradchecks here run on deliberately small specs so the whole file stays fast;
 the default-size families are exercised by the acceptance suite.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from locodec import autodiff as ad
 from locodec import decoders as dec
 from locodec.errors import ModelLoadError, ShapeError, SpecMismatchError
 from locodec.sessions import WINDOW_LEN
@@ -105,6 +108,12 @@ def test_every_entry_point_rejects_a_wrong_window_shape(family):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("family", dec.TRAINABLE_FAMILIES)
+def test_an_empty_stack_predicts_no_speeds(family):
+    spec = SMALL[family]
+    assert dec.new_decoder(spec).predict_batch(_window_batch(spec, n=0)).shape == (0,)
+
+
 def test_linear_zero_weights_returns_bias():
     d = dec.new_decoder(SMALL["linear"])
     d.params["head.w0"].data[:] = 0.0
@@ -182,6 +191,82 @@ def test_transformer_with_positions_breaks_permutation_invariance():
     out = d.predict_batch(x)[0]
     out_rev = d.predict_batch(x[:, ::-1, :].copy())[0]
     assert abs(out - out_rev) > 1e-9
+
+
+def _one_window_transformer(d, x2d):
+    """Reference: the transformer forward on one (T, C) window, on 2-d ops."""
+    p, spec = d.params, d.spec
+    e = spec.embed_dim
+    dh = e // spec.n_heads
+    tok = ad.add(ad.matmul(ad.constant(x2d), p["body.embed_w"]), p["body.embed_b"])
+    if spec.use_positional:
+        tok = ad.add(tok, ad.constant(dec.positional_encoding(x2d.shape[0], e)))
+    for blk in range(spec.n_blocks):
+        q, k, v = (ad.add(ad.matmul(tok, p[f"body.blk{blk}.w{n}"]), p[f"body.blk{blk}.{n}b"]) for n in "qkv")
+        heads = []
+        for lo in range(0, e, dh):
+            qh, kh, vh = (ad.narrow(t, 1, lo, lo + dh) for t in (q, k, v))
+            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
+            heads.append(ad.matmul(ad.softmax(scores, axis=1), vh))
+        tok = ad.add(ad.matmul(ad.concat(heads, axis=1), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
+    z = ad.relu(ad.conv1d(tok, p["body.conv_w"], p["body.conv_b"]))
+    h = ad.matmul(ad.constant(np.full((1, z.shape[0]), 1.0 / z.shape[0])), z)  # mean over tokens
+    n_layers = len(spec.head_hidden) + 1
+    for i in range(n_layers):
+        h = ad.add(ad.matmul(h, p[f"head.w{i}"]), p[f"head.b{i}"])
+        if i < n_layers - 1:
+            h = ad.relu(h)
+    return h
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SMALL["transformer_encoder"],
+        dec.DecoderSpec(
+            family="transformer_encoder", n_channels=3, embed_dim=8, n_heads=2,
+            n_blocks=2, use_positional=False, head_hidden=(4,),
+        ),
+    ],
+    ids=["one_block", "two_blocks_no_positions"],
+)
+def test_transformer_batch_matches_per_window_reference(spec):
+    """One batched graph gives the per-window predictions and loss gradients
+    up to rounding (1e-12 absolute; the key bias's true gradient is zero)."""
+    d = dec.new_decoder(spec)
+    rng = np.random.default_rng(11)
+    for t in d.params.values():
+        t.data = 0.3 * rng.standard_normal(t.data.shape)
+    x = _window_batch(spec, n=37, seed=12)
+    y = rng.standard_normal(37)
+    ref_outs = [_one_window_transformer(d, w) for w in x]
+    ref_pred = np.array([float(o.data[0, 0]) for o in ref_outs])
+    np.testing.assert_allclose(d.predict_batch(x), ref_pred, rtol=0, atol=1e-12)
+
+    params = d.param_list()
+    ad.backward(d.loss_batch(x, y), params)
+    batched = [t.grad for t in params]
+    ad.zero_grads(params)
+    ad.backward(ad.mse(ad.concat(ref_outs, axis=0), ad.constant(y.reshape(-1, 1))), params)
+    for t, g in zip(params, batched):
+        np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=t.name)
+
+
+def _graph_size(root):
+    seen, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.parents)
+    return len(seen)
+
+
+def test_transformer_builds_one_graph_per_batch():
+    spec = SMALL["transformer_encoder"]
+    d = dec.new_decoder(spec)
+    sizes = {n: _graph_size(d.loss_batch(_window_batch(spec, n=n), np.zeros(n))) for n in (1, 64)}
+    assert sizes[1] == sizes[64]
 
 
 def test_positional_encoding_values():

@@ -112,11 +112,13 @@ EXPECTED = {
     ),
     "tests": (
         "# config_hash=abc123 seed=4\n"
+        "strategy,region_set,band,offset_ms,"
         "comparison,metric,statistic,p_raw,p_bonferroni,n,method\n"
-        "ffnn|linear|lstm_rnn,r,6.5,0.03877420783172202,0.03877420783172202,4,friedman\n"
-        "ffnn_vs_linear,r,2.5,0.5,1.0,4,wilcoxon_exact\n"
-        "ffnn_vs_lstm_rnn,r,0.0,0.125,0.375,4,wilcoxon_exact\n"
-        "linear_vs_lstm_rnn,r,0.0,0.125,0.375,4,wilcoxon_exact\n"
+        "single_80,all,fullband,0,ffnn|linear|lstm_rnn,r,6.5,"
+        "0.03877420783172202,0.03877420783172202,4,friedman\n"
+        "single_80,all,fullband,0,ffnn_vs_linear,r,2.5,0.5,1.0,4,wilcoxon_exact\n"
+        "single_80,all,fullband,0,ffnn_vs_lstm_rnn,r,0.0,0.125,0.375,4,wilcoxon_exact\n"
+        "single_80,all,fullband,0,linear_vs_lstm_rnn,r,0.0,0.125,0.375,4,wilcoxon_exact\n"
     ),
     "offset_curves": (
         "# config_hash=abc123 seed=4\n"
@@ -158,6 +160,21 @@ EXPECTED = {
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_writer_text_is_pinned(name):
     assert WRITERS[name]() == EXPECTED[name]
+
+
+def test_tests_rows_name_their_offset():
+    """One Friedman family per offset: each row carries the offset it tests."""
+    rows = [
+        _row(f"r{i // 2 + 1}_s{i % 2 + 1}", model, offset, r)
+        for offset in (-100, 0, 100)
+        for model, rs in R_BY_MODEL.items()
+        for i, r in enumerate(rs)
+    ]
+    lines = reporting.tests_csv_text(rows).splitlines()
+    columns = lines[1].split(",")
+    friedman = [dict(zip(columns, line.split(","))) for line in lines[2:] if line.endswith(",friedman")]
+    assert sorted(row["offset_ms"] for row in friedman) == ["-100", "0", "100"]
+    assert len({row["comparison"] for row in friedman}) == 1
 
 
 CLI_CFG = {
