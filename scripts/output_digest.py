@@ -15,6 +15,8 @@ runs, in-process, one fixed set of commands on a 2-rat x 2-session,
   ``baseline`` and a ``transformer_encoder`` baseline;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``eval`` of that model at -100, 0 and 200 ms;
+- ``train`` of a 4-tree ``random_forest`` on the same session, and its
+  ``eval`` at 0 ms, so that the forest's model file is read back too;
 - ``ingest`` of the written sessions, then ``report --sessions``.
 
 It then prints one ``<sha256>  <path>`` line per output file, sorted by
@@ -90,6 +92,9 @@ def run_commands(entrypoint, jobs: int) -> None:
     run("train", "--config", _write_cfg(Path("train.cfg"), disk), "--out", "train", "--band", "theta")
     for offset in (-100, 0, 200):
         run("eval", "train/rat01_s01.model", "synth/rat01_s01.bin", "--offset-ms", offset, "--out", f"eval/offset_{offset}.csv")
+    forest = {**disk, "decoder.family": "random_forest", "decoder.n_trees": "4", "decoder.max_depth": "4"}
+    run("train", "--config", _write_cfg(Path("train_forest.cfg"), forest), "--out", "train_forest")
+    run("eval", "train_forest/rat01_s01.model", "synth/rat01_s01.bin", "--out", "eval/forest_offset_0.csv")
 
     run("ingest", *sorted(Path("synth").glob("*.bin")), "--out", "ingest")
     run("report", "baseline/results.csv", "--out", "report_sessions", "--sessions", *sorted(Path("ingest").glob("*.bin")))

@@ -37,7 +37,6 @@ from .sessions import (
     apply_normalizer,
     fit_normalizer,
     ingest_session,
-    invert_normalizer,
     normalized_session,
     preprocess_raw,
     session_iqr,
@@ -81,7 +80,6 @@ from .stats import (
     pearson_r,
     polyfit2,
     r_squared,
-    shapiro_wilk,
     wilcoxon_signed_rank,
 )
 from .synthetic import ENCODINGS, FleetSpec, generate_synthetic_fleet, region_layout

@@ -268,30 +268,14 @@ def cmd_experiment(args) -> int:
     jobs = cfg.jobs
 
     if cfg.kind == "baseline":
-        if cfg.plan.strategy not in ("single_80", "single_10"):
-            raise ConfigError("experiment.kind=baseline needs plan.strategy single_80 or single_10")
         out = run_baseline(sessions, cfg.plan, jobs=jobs)
-        results, timings = out.results, out.timings
     elif cfg.kind == "transfer":
-        if not cfg.plan.strategy.startswith(("zeroshot", "finetune")):
-            raise ConfigError("experiment.kind=transfer needs a zeroshot_* or finetune_* strategy")
-        tr = run_transfer(sessions, cfg.plan, jobs=jobs)
-        results, timings = tr.aggregated, tr.timings
-        pairs = sorted(tr.pair_results, key=lambda r: (r.source_id, r.session_id))
-        rows = ((r.source_id, r.session_id, r.r, r.r2, r.n_test_windows) for r in pairs)
-        columns = ("source_id", "target_id", "r", "r2", "n_test_windows")
-        _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, cfg.seed))
+        out = run_transfer(sessions, cfg.plan, jobs=jobs)
     elif cfg.kind == "regions":
         out = run_region_analysis(sessions, cfg.plan, include_pairs=cfg.include_pairs, jobs=jobs)
-        results, timings = out.results, out.timings
-        if out.skipped:
-            _write_atomic(out_dir / "skipped.csv", table_text(("session_id", "region_set"), out.skipped))
     elif cfg.kind == "bands":
         out = run_band_analysis(sessions, cfg.plan, bands=cfg.bands, jobs=jobs)
-        results, timings = out.results, out.timings
-        columns = ("session_id", "band", "mean_channel_variance")
-        _write_atomic(out_dir / "band_energies.csv", table_text(columns, out.band_energies))
-    elif cfg.kind == "offsets":
+    else:  # offsets; resolve admits no other kind
         out = run_offset_analysis(
             sessions,
             cfg.plan,
@@ -300,15 +284,22 @@ def cmd_experiment(args) -> int:
             include_autocorrelation=cfg.include_autocorrelation,
             jobs=jobs,
         )
-        results, timings = out.results, out.timings
-    else:
-        raise ConfigError(f"unknown experiment.kind {cfg.kind!r}")
 
     if gate is not None:
         _write_atomic(out_dir / "gate_report.csv", _gate_report_text(gate, cfg.config_hash, cfg.seed))
-    _write_atomic(out_dir / "results.csv", results_to_csv_text(results, cfg.config_hash, cfg.seed))
-    _write_atomic(out_dir / "timings.csv", timings_to_csv_text(timings))
-    print(f"{cfg.kind} experiment: {len(results)} result rows -> {out_dir / 'results.csv'}")
+    _write_atomic(out_dir / "results.csv", results_to_csv_text(out.results, cfg.config_hash, cfg.seed))
+    _write_atomic(out_dir / "timings.csv", timings_to_csv_text(out.timings))
+    if out.pairs:
+        pairs = sorted(out.pairs, key=lambda r: (r.source_id, r.session_id))
+        rows = ((r.source_id, r.session_id, r.r, r.r2, r.n_test_windows) for r in pairs)
+        columns = ("source_id", "target_id", "r", "r2", "n_test_windows")
+        _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, cfg.seed))
+    if out.skipped:
+        _write_atomic(out_dir / "skipped.csv", table_text(("session_id", "region_set"), out.skipped))
+    if out.band_energies:
+        columns = ("session_id", "band", "mean_channel_variance")
+        _write_atomic(out_dir / "band_energies.csv", table_text(columns, out.band_energies))
+    print(f"{cfg.kind} experiment: {len(out.results)} result rows -> {out_dir / 'results.csv'}")
     return 0
 
 

@@ -20,7 +20,15 @@ from .protocols import STRATEGIES, DEFAULT_OFFSETS_MS, ExperimentPlan
 from .synthetic import FleetSpec
 from .trainer import TrainConfig
 
-EXPERIMENT_KINDS = ("baseline", "transfer", "regions", "bands", "offsets")
+# experiment kind -> the plan strategies it runs
+KIND_STRATEGIES = {
+    "baseline": STRATEGIES[:2],
+    "transfer": STRATEGIES[2:],
+    "regions": STRATEGIES[:2],
+    "bands": STRATEGIES[:2],
+    "offsets": ("single_80",),
+}
+EXPERIMENT_KINDS = tuple(KIND_STRATEGIES)
 
 
 def _bool(raw: str) -> bool:
@@ -244,6 +252,8 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
         raise ConfigError(f"decoder.family must be one of {FAMILIES}")
     if values["plan.strategy"] not in STRATEGIES:
         raise ConfigError(f"plan.strategy must be one of {STRATEGIES}")
+    if values["plan.strategy"] not in KIND_STRATEGIES[kind]:
+        raise ConfigError(f"experiment.kind={kind} needs plan.strategy in {KIND_STRATEGIES[kind]}")
     if values["plan.band"] not in BAND_NAMES:
         raise ConfigError(f"plan.band must be one of {BAND_NAMES}")
 

@@ -14,9 +14,16 @@ the forest is fitted greedily and wrapped behind the same predict surface.
 
 Body/head naming is load-bearing: parameters prefixed ``head.`` form the
 final dense stack and are the only ones updated when fine-tuning with a
-frozen body. Stored model files hold float32 tensors, so finished decoders
-are quantized to float32-representable values once at the end of training;
-save -> load -> predict is then bitwise reproducible.
+frozen body.
+
+A model file (version 2) has one layout for every family: a JSON header
+``{spec, meta}``, then one list of named arrays, the decoder's followed by
+``extra.<name>`` arrays such as normalizer statistics. A trained family
+stores its parameters; the forest stores ``tree<i>.<field>`` for the node
+arrays of each tree (feature, threshold, left, right, value). Float decoder
+arrays are stored as float32, so finished decoders are quantized to
+float32-representable values once at the end of fitting; save -> load ->
+predict is then bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ RECURRENT_FAMILIES = ("lstm_rnn", "speed_rnn")
 FLAT_FAMILIES = ("linear", "ffnn", "random_forest")
 
 MODEL_MAGIC = b"LCMD1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -204,12 +211,6 @@ class Decoder:
     def param_list(self) -> list[ad.Tensor]:
         return [t for _, t in self.param_items()]
 
-    def body_names(self) -> tuple[str, ...]:
-        return tuple(n for n in sorted(self.params) if n.startswith("body."))
-
-    def head_names(self) -> tuple[str, ...]:
-        return tuple(n for n in sorted(self.params) if n.startswith("head."))
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {n: t.data.copy() for n, t in self.params.items()}
 
@@ -225,10 +226,7 @@ class Decoder:
             self.params[n].data = np.asarray(arr, dtype=np.float64).copy()
 
     def clone(self) -> "Decoder":
-        if self.spec.family == "random_forest":
-            return Decoder(self.spec, forest_model=self.forest)
-        fresh = Decoder(self.spec, params={n: ad.parameter(t.data, n) for n, t in self.params.items()})
-        return fresh
+        return Decoder(self.spec, params={n: ad.parameter(t.data, n) for n, t in self.params.items()})
 
     def quantize_f32(self) -> None:
         """Snap parameters to float32-representable values (storage grid)."""
@@ -237,13 +235,9 @@ class Decoder:
 
     def checksum(self) -> str:
         h = hashlib.sha256()
-        for n, t in self.param_items():
+        for n, arr in _stored_arrays(self):
             h.update(n.encode())
-            h.update(np.ascontiguousarray(t.data).tobytes())
-        if self.forest is not None:
-            for tree in self.forest.trees:
-                for arr in (tree.feature, tree.threshold, tree.left, tree.right, tree.value):
-                    h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
     # -- forward passes --------------------------------------------------------
@@ -264,7 +258,7 @@ class Decoder:
         h = _dropout(h, self.spec.dropout, rng)
         return _mlp_head(h, p, "head", self.spec.head_hidden, self.spec.dropout, rng)
 
-    def _forward_transformer(self, x3d: np.ndarray, rng, collect_attn=None) -> ad.Tensor:
+    def _forward_transformer(self, x3d: np.ndarray, rng) -> ad.Tensor:
         p = self.params
         spec = self.spec
         e = spec.embed_dim
@@ -283,10 +277,7 @@ class Decoder:
                 kh = ad.narrow(k, 2, lo, hi_end)
                 vh = ad.narrow(v, 2, lo, hi_end)
                 scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-                attn = ad.softmax(scores, axis=2)
-                if collect_attn is not None:
-                    collect_attn.append(attn.data[0])
-                heads.append(ad.matmul(attn, vh))
+                heads.append(ad.matmul(ad.softmax(scores, axis=2), vh))
             tok = ad.add(ad.matmul(ad.concat(heads, axis=2), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
         z = ad.relu(ad.conv1d(tok, p["body.conv_w"], p["body.conv_b"]))
         pooled = _dropout(ad.mean(z, axis=1), spec.dropout, rng)
@@ -328,46 +319,49 @@ def fit_forest_decoder(spec: DecoderSpec, x: np.ndarray, y: np.ndarray, seed: in
     return Decoder(spec, forest_model=forest_fit(_window_input(spec, x), y, fspec))
 
 
-def attention_maps(decoder: Decoder, layout: np.ndarray) -> np.ndarray:
-    """(blocks*heads, T, T) row-stochastic attention for one window."""
-    if decoder.spec.family != "transformer_encoder":
-        raise ValueError("attention maps exist only for transformer_encoder")
-    collected: list[np.ndarray] = []
-    decoder._forward_transformer(np.asarray(layout, dtype=np.float64)[None], None, collect_attn=collected)
-    return np.stack(collected)
-
-
 # ---------------------------------------------------------------------------
 # model files
 
 
-# model weights are stored as float32; extras (e.g. normalizer statistics)
-# keep their native precision so reload-and-evaluate is bitwise faithful
-_DTYPE_CODES = {0: "<f4", 1: "<f8", 2: "<i8"}
+# node arrays of a stored tree, with the dtypes the fit gives them
+_TREE_FIELDS = {
+    "feature": np.int32,
+    "threshold": np.float64,
+    "left": np.int32,
+    "right": np.int32,
+    "value": np.float64,
+}
 
 
-def _dtype_code(arr: np.ndarray) -> int:
-    if arr.dtype == np.float32:
-        return 0
-    if arr.dtype == np.float64:
-        return 1
-    if arr.dtype.kind in "iu":
-        return 2
-    raise ValueError(f"unsupported array dtype {arr.dtype}")
+def _stored_arrays(decoder: Decoder) -> list[tuple[str, np.ndarray]]:
+    """The decoder's named arrays in file order: its parameters, or each
+    tree's node arrays for the forest."""
+    if decoder.spec.family != "random_forest":
+        return [(n, t.data) for n, t in decoder.param_items()]
+    if decoder.forest is None:
+        raise SpecMismatchError("cannot save an unfitted random_forest decoder")
+    return [
+        (f"tree{i}.{field}", getattr(tree, field))
+        for i, tree in enumerate(decoder.forest.trees)
+        for field in _TREE_FIELDS
+    ]
 
 
-def _pack_tensor(name: str, arr: np.ndarray, as_f32: bool = False) -> bytes:
-    if as_f32:
-        arr = np.asarray(arr, dtype=np.float32)
-    else:
-        arr = np.asarray(arr)
-        if arr.dtype.kind == "i":
-            arr = arr.astype(np.int64)
-    code = _dtype_code(arr)
+# decoder arrays are stored as float32 (node indices as int32); extras (e.g.
+# normalizer statistics) keep their native precision so reload-and-evaluate
+# is bitwise faithful
+_DTYPE_CODES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "<i4"}
+_CODE_OF = {np.dtype(dt): code for code, dt in _DTYPE_CODES.items()}
+
+
+def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
+    arr = np.asarray(arr)
+    if arr.dtype not in _CODE_OF:
+        raise ValueError(f"unsupported array dtype {arr.dtype}")
     nb = name.encode("utf-8")
-    parts = [struct.pack("<H", len(nb)), nb, struct.pack("<BB", arr.ndim, code)]
+    parts = [struct.pack("<H", len(nb)), nb, struct.pack("<BB", arr.ndim, _CODE_OF[arr.dtype])]
     parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr, dtype=_DTYPE_CODES[code]).tobytes())
+    parts.append(np.ascontiguousarray(arr).tobytes())
     return b"".join(parts)
 
 
@@ -405,37 +399,12 @@ def _spec_from_json(d: dict) -> DecoderSpec:
 def save_state(decoder: Decoder, path, extras: dict[str, np.ndarray] | None = None, meta: dict | None = None) -> None:
     """Serialize a decoder (plus optional named extra arrays such as
     normalizer statistics) to the binary model format."""
-    header = json.dumps(
-        {
-            "spec": _spec_to_json(decoder.spec),
-            "meta": meta or {},
-            "kind": "forest" if decoder.spec.family == "random_forest" else "tensors",
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    header = json.dumps({"spec": _spec_to_json(decoder.spec), "meta": meta or {}}, sort_keys=True).encode("utf-8")
+    arrays = [(n, a.astype(np.float32) if a.dtype == np.float64 else a) for n, a in _stored_arrays(decoder)]
+    arrays += [(f"extra.{n}", extras[n]) for n in sorted(extras or {})]
     chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header)), header]
-    if decoder.spec.family == "random_forest":
-        if decoder.forest is None:
-            raise SpecMismatchError("cannot save an unfitted random_forest decoder")
-        f = decoder.forest
-        chunks.append(struct.pack("<II", f.n_features, len(f.trees)))
-        for tree in f.trees:
-            chunks.append(struct.pack("<I", tree.n_nodes))
-            chunks.append(np.ascontiguousarray(tree.feature, dtype="<i4").tobytes())
-            chunks.append(np.ascontiguousarray(tree.threshold, dtype="<f4").tobytes())
-            chunks.append(np.ascontiguousarray(tree.left, dtype="<i4").tobytes())
-            chunks.append(np.ascontiguousarray(tree.right, dtype="<i4").tobytes())
-            chunks.append(np.ascontiguousarray(tree.value, dtype="<f4").tobytes())
-        chunks.append(struct.pack("<I", len(extras or {})))
-        for name in sorted(extras or {}):
-            chunks.append(_pack_tensor(f"extra.{name}", np.asarray(extras[name])))
-    else:
-        params = decoder.param_items()
-        chunks.append(struct.pack("<I", len(params) + len(extras or {})))
-        for name, t in params:
-            chunks.append(_pack_tensor(name, t.data, as_f32=True))
-        for name in sorted(extras or {}):
-            chunks.append(_pack_tensor(f"extra.{name}", np.asarray(extras[name])))
+    chunks.append(struct.pack("<I", len(arrays)))
+    chunks.extend(_pack_tensor(n, a) for n, a in arrays)
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -455,10 +424,22 @@ def _read_tensor(r: _Reader) -> tuple[str, np.ndarray]:
     return name, arr.copy()
 
 
-def load_state(path, expected_family: str | None = None):
+def _forest_from_arrays(spec: DecoderSpec, arrays: dict[str, np.ndarray], path) -> Decoder:
+    """The forest whose ``spec.n_trees`` trees were stored as named node
+    arrays, each cast back to its fitted dtype."""
+    if set(arrays) != {f"tree{i}.{field}" for i in range(spec.n_trees) for field in _TREE_FIELDS}:
+        raise ModelLoadError(f"{path}: stored trees do not match n_trees={spec.n_trees}")
+    trees = tuple(
+        Tree(**{field: arrays[f"tree{i}.{field}"].astype(dt) for field, dt in _TREE_FIELDS.items()})
+        for i in range(spec.n_trees)
+    )
+    fspec = ForestSpec(n_trees=spec.n_trees, max_depth=spec.max_depth, seed=spec.seed)
+    return Decoder(spec, forest_model=Forest(fspec, spec.flat_dim, trees))
+
+
+def load_state(path):
     """Read a model file back: (decoder, extras, meta)."""
-    blob = Path(path).read_bytes()
-    r = _Reader(blob, path)
+    r = _Reader(Path(path).read_bytes(), path)
     if r.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
         raise ModelLoadError(f"{path}: bad magic, not a model file")
     version, header_len = r.unpack("<II")
@@ -469,39 +450,20 @@ def load_state(path, expected_family: str | None = None):
         spec = _spec_from_json(header["spec"])
     except (ValueError, KeyError, TypeError) as exc:
         raise ModelLoadError(f"{path}: corrupt header ({exc})")
-    if expected_family is not None and spec.family != expected_family:
-        raise SpecMismatchError(
-            f"{path}: model family {spec.family!r} does not match expected {expected_family!r}"
-        )
-    extras: dict[str, np.ndarray] = {}
-    if header["kind"] == "forest":
-        n_features, n_trees = r.unpack("<II")
-        trees = []
-        for _ in range(n_trees):
-            (n_nodes,) = r.unpack("<I")
-            feature = np.frombuffer(r.take(4 * n_nodes), dtype="<i4").astype(np.int32)
-            threshold = np.frombuffer(r.take(4 * n_nodes), dtype="<f4").astype(np.float64)
-            left = np.frombuffer(r.take(4 * n_nodes), dtype="<i4").astype(np.int32)
-            right = np.frombuffer(r.take(4 * n_nodes), dtype="<i4").astype(np.int32)
-            value = np.frombuffer(r.take(4 * n_nodes), dtype="<f4").astype(np.float64)
-            trees.append(Tree(feature, threshold, left, right, value))
-        (n_extra,) = r.unpack("<I")
-        for _ in range(n_extra):
-            name, arr = _read_tensor(r)
-            extras[name[len("extra.") :]] = arr
-        fspec = ForestSpec(n_trees=spec.n_trees, max_depth=spec.max_depth, seed=spec.seed)
-        decoder = Decoder(spec, forest_model=Forest(fspec, n_features, tuple(trees)))
-        return decoder, extras, header.get("meta", {})
-    (n_tensors,) = r.unpack("<I")
+    (n_arrays,) = r.unpack("<I")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(n_tensors):
+    extras: dict[str, np.ndarray] = {}
+    for _ in range(n_arrays):
         name, arr = _read_tensor(r)
         if name.startswith("extra."):
             extras[name[len("extra.") :]] = arr
         else:
             arrays[name] = arr
-    decoder = Decoder(spec)
-    decoder.load_arrays(arrays)
+    if spec.family == "random_forest":
+        decoder = _forest_from_arrays(spec, arrays, path)
+    else:
+        decoder = Decoder(spec)
+        decoder.load_arrays(arrays)
     return decoder, extras, header.get("meta", {})
 
 

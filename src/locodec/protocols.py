@@ -421,15 +421,6 @@ def transfer_pairs(sessions: list[Session], strategy: str) -> list[tuple[Session
     return pairs
 
 
-@dataclass
-class TransferOutput:
-    pair_results: list[EvalResult]
-    aggregated: list[EvalResult]
-    hygiene: list[HygieneRecord]
-    timings: list[tuple[str, float]]
-    n_evaluations: int
-
-
 def _transfer_unit(
     source_id: str, decoder: Decoder, source_norm: Normalizer, target: Session, plan: ExperimentPlan
 ) -> SingleRunOutput:
@@ -469,7 +460,9 @@ def _aggregate_per_target(pair_results: list[EvalResult], plan: ExperimentPlan) 
     return out
 
 
-def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -> TransferOutput:
+def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -> ExperimentOutput:
+    """Per-target rows in ``results``, one row per (source, target) pair in
+    ``pairs``."""
     if plan.strategy not in STRATEGIES[2:]:
         raise PlanError(f"run_transfer cannot execute strategy {plan.strategy!r}")
     pairs = transfer_pairs(sessions, plan.strategy)
@@ -484,9 +477,9 @@ def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -
     for src, tgt in pairs:
         unit = (f"{src.id}->{tgt.id}", (src.id, *models[src.id], tgt, plan))
         _map_jobs(out, "pair", plan.cell_id, _transfer_unit, [unit], 1)
-    pair_results = out.results[len(sources) :]
-    aggregated = _aggregate_per_target(pair_results, plan)
-    return TransferOutput(pair_results, aggregated, out.hygiene, out.timings, len(pair_results))
+    out.pairs = out.results[len(sources) :]
+    out.results = _aggregate_per_target(out.pairs, plan)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +493,7 @@ class ExperimentOutput:
     timings: list[tuple[str, float]]
     skipped: list[tuple[str, str]] = field(default_factory=list)
     band_energies: list[tuple[str, str, float]] = field(default_factory=list)
+    pairs: list[EvalResult] = field(default_factory=list)
 
 
 def _map_jobs(out: ExperimentOutput, kind: str, cell_id: str, worker, units, jobs: int):

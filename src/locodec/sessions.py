@@ -444,10 +444,6 @@ def apply_normalizer(norm: Normalizer, eeg: np.ndarray) -> np.ndarray:
     return (eeg - norm.mean[:, None]) / norm.std[:, None]
 
 
-def invert_normalizer(norm: Normalizer, eeg: np.ndarray) -> np.ndarray:
-    return eeg * norm.std[:, None] + norm.mean[:, None]
-
-
 def normalized_session(s: Session, norm: Normalizer) -> Session:
     return dataclasses.replace(s, eeg=apply_normalizer(norm, s.eeg))
 

@@ -2,9 +2,8 @@
 
 Pearson r and R-squared score per-session decoding quality. Variant
 comparisons run a Friedman omnibus over paired per-session scores followed by
-two-sided Wilcoxon signed-rank tests with Bonferroni correction; normality is
-probed with Shapiro-Wilk for reporting only (it never switches the path, the
-nonparametric tests are always used).
+two-sided Wilcoxon signed-rank tests with Bonferroni correction; no normality
+test is run, the nonparametric tests are always used.
 """
 
 from __future__ import annotations
@@ -61,17 +60,6 @@ class TestOutcome:
     method: str
 
 
-def shapiro_wilk(x) -> TestOutcome:
-    """Shapiro-Wilk normality test (advisory; 3 <= n <= 5000)."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 3 <= x.size <= 5000:
-        raise ValueError(f"shapiro_wilk supports 3..5000 samples, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise DegenerateDataError("shapiro_wilk undefined for constant data")
-    w, p = sstats.shapiro(x)
-    return TestOutcome("normality", "", float(w), float(p), float(p), int(x.size), "shapiro_wilk")
-
-
 def friedman(scores) -> tuple[float, float]:
     """Friedman chi-squared over a (rows=subjects, cols=variants) table.
 
@@ -99,28 +87,16 @@ def friedman(scores) -> tuple[float, float]:
     return float(statistic), float(sstats.chi2.sf(statistic, k - 1))
 
 
-def _signed_rank_parts(a, b, zero_method: str):
+def _signed_rank_parts(a, b):
+    """Nonzero paired differences, their average ranks by magnitude, W+ and W-."""
     d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
     if d.ndim != 1:
         raise ValueError("wilcoxon_signed_rank expects 1-d paired samples")
-    if zero_method == "wilcox":
-        d = d[d != 0.0]
-        if d.size == 0:
-            raise DegenerateDataError("wilcoxon undefined: all paired differences are zero")
-        ranks = sstats.rankdata(np.abs(d))
-        w_pos = float(ranks[d > 0].sum())
-        w_neg = float(ranks[d < 0].sum())
-        return d, ranks, w_pos, w_neg
-    if zero_method == "pratt":
-        if np.all(d == 0.0):
-            raise DegenerateDataError("wilcoxon undefined: all paired differences are zero")
-        ranks = sstats.rankdata(np.abs(d))
-        keep = d != 0.0
-        d2, ranks2 = d[keep], ranks[keep]
-        w_pos = float(ranks2[d2 > 0].sum())
-        w_neg = float(ranks2[d2 < 0].sum())
-        return d2, ranks2, w_pos, w_neg
-    raise ValueError(f"unknown zero_method {zero_method!r}; use 'wilcox' or 'pratt'")
+    d = d[d != 0.0]
+    if d.size == 0:
+        raise DegenerateDataError("wilcoxon undefined: all paired differences are zero")
+    ranks = sstats.rankdata(np.abs(d))
+    return d, ranks, float(ranks[d > 0].sum()), float(ranks[d < 0].sum())
 
 
 def _exact_wilcoxon_p(ranks: np.ndarray, w_obs: float) -> float:
@@ -160,29 +136,19 @@ def _normal_wilcoxon_p(d: np.ndarray, ranks: np.ndarray, w_pos: float) -> float:
 EXACT_WILCOXON_LIMIT = 25
 
 
-def wilcoxon_signed_rank(a, b, zero_method: str = "wilcox", mode: str = "auto") -> TestOutcome:
+def wilcoxon_signed_rank(a, b) -> TestOutcome:
     """Two-sided Wilcoxon signed-rank test for paired samples.
 
-    Zero differences are dropped under the default ('wilcox') rule; 'pratt'
-    ranks them before dropping. Tied magnitudes get average ranks. With at
+    Zero differences are dropped; tied magnitudes get average ranks. With at
     most 25 nonzero pairs the exact sign-enumeration distribution is used,
-    beyond that (or with mode='normal') a normal approximation with tie and
-    continuity corrections.
+    beyond that a normal approximation with tie and continuity corrections.
     """
-    d, ranks, w_pos, w_neg = _signed_rank_parts(a, b, zero_method)
-    n = d.size
-    if mode == "auto":
-        mode = "exact" if (n <= EXACT_WILCOXON_LIMIT and zero_method == "wilcox") else "normal"
-    if mode == "exact":
-        p = _exact_wilcoxon_p(ranks, w_pos)
-        method = "wilcoxon_exact"
-    elif mode == "normal":
-        p = _normal_wilcoxon_p(d, ranks, w_pos)
-        method = "wilcoxon_normal"
+    d, ranks, w_pos, w_neg = _signed_rank_parts(a, b)
+    if d.size <= EXACT_WILCOXON_LIMIT:
+        p, method = _exact_wilcoxon_p(ranks, w_pos), "wilcoxon_exact"
     else:
-        raise ValueError(f"unknown mode {mode!r}; use 'auto', 'exact', or 'normal'")
-    statistic = min(w_pos, w_neg)
-    return TestOutcome("", "", float(statistic), float(p), float(p), int(n), method)
+        p, method = _normal_wilcoxon_p(d, ranks, w_pos), "wilcoxon_normal"
+    return TestOutcome("", "", float(min(w_pos, w_neg)), float(p), float(p), int(d.size), method)
 
 
 def bonferroni(p_values, m: int | None = None) -> np.ndarray:

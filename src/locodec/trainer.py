@@ -137,10 +137,11 @@ def train(
         raise ValueError("empty training set")
     work = decoder.clone()
     items = work.param_items()
+    params = [t for _, t in items]
     if config.freeze_body:
         trainable = [t for name, t in items if not name.startswith("body.")]
     else:
-        trainable = [t for _, t in items]
+        trainable = params
     if not trainable:
         raise ValueError("no trainable parameters selected")
 
@@ -164,13 +165,15 @@ def train(
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            ad.zero_grads(trainable)
             drop_rng = rng if work.spec.dropout > 0.0 else None
             loss = work.loss_batch(x_train[idx], y_train[idx], train_rng=drop_rng)
             if not np.isfinite(loss.data):
                 raise DivergenceError(epoch, config.learning_rate)
             ad.backward(loss, params=trainable)
             opt.step(trainable)
+            # every gradient, a frozen body's too, dies with its batch, so none
+            # sums across batches or is returned (and pickled) with the decoder
+            ad.zero_grads(params)
             total += float(loss.data) * len(idx)
         train_loss = total / n
         val_loss = _val_loss(work, x_val, y_val) if have_val else train_loss

@@ -247,11 +247,11 @@ def test_criterion_5_transfer_construction():
     zs_shared = run_transfer(
         shared, ExperimentPlan(decoder=LIN, train=CFG, strategy="zeroshot_cross_subject", master_seed=2)
     )
-    med_shared = _median_r(zs_shared.aggregated)
+    med_shared = _median_r(zs_shared.results)
     checks.append((f"shared-map zero-shot cross-subject median {med_shared:.3f} >= 0.8", med_shared >= 0.8))
     checks.append(
-        (f"cross-subject count {zs_shared.n_evaluations} == formula {across}",
-         zs_shared.n_evaluations == across and len(zs_shared.pair_results) == across)
+        (f"cross-subject count {len(zs_shared.pairs)} == formula {across}",
+         len(zs_shared.pairs) == across)
     )
 
     scrambled = generate_synthetic_fleet(
@@ -263,31 +263,31 @@ def test_criterion_5_transfer_construction():
     zs_cs = run_transfer(
         scrambled, ExperimentPlan(decoder=LIN, train=CFG, strategy="zeroshot_cross_session", master_seed=2)
     )
-    med_cs = _median_r(zs_cs.aggregated)
+    med_cs = _median_r(zs_cs.results)
     checks.append((f"scrambled zero-shot cross-session median {med_cs:.3f} >= 0.7", med_cs >= 0.7))
     checks.append(
-        (f"cross-session count {zs_cs.n_evaluations} == formula {within}",
-         zs_cs.n_evaluations == within)
+        (f"cross-session count {len(zs_cs.pairs)} == formula {within}",
+         len(zs_cs.pairs) == within)
     )
 
     zs_xs = run_transfer(
         scrambled, ExperimentPlan(decoder=LIN, train=CFG, strategy="zeroshot_cross_subject", master_seed=2)
     )
-    med_xs = _median_r(zs_xs.aggregated)
+    med_xs = _median_r(zs_xs.results)
     checks.append((f"scrambled zero-shot cross-subject median {med_xs:.3f} <= 0.2", med_xs <= 0.2))
     checks.append(
-        (f"cross-subject count {zs_xs.n_evaluations} == formula {across}",
-         zs_xs.n_evaluations == across)
+        (f"cross-subject count {len(zs_xs.pairs)} == formula {across}",
+         len(zs_xs.pairs) == across)
     )
 
     ft = run_transfer(
         scrambled, ExperimentPlan(decoder=LIN, train=CFG, strategy="finetune_cross_subject", master_seed=2)
     )
-    med_ft = _median_r(ft.aggregated)
+    med_ft = _median_r(ft.results)
     gain = med_ft - med_xs
     checks.append((f"fine-tune-head gain {gain:.3f} >= 0.2 over zero-shot", gain >= 0.2))
     checks.append(
-        (f"fine-tune count {ft.n_evaluations} == formula {across}", ft.n_evaluations == across)
+        (f"fine-tune count {len(ft.pairs)} == formula {across}", len(ft.pairs) == across)
     )
 
     _verdict(5, "transfer construction", t0, checks)

@@ -131,7 +131,6 @@ def _train_then_eval_rows(tmp_path, **overrides):
     assert entrypoint(["train", "--config", str(disk_cfg), "--out", str(train_dir)]) == 0
     model = train_dir / "rat01_s01.model"
     assert model.exists()
-    assert (train_dir / "rat01_s01.report.jsonl").exists()
     _, train_rows = rows_of(train_dir / "results.csv")
 
     out_csv = tmp_path / "eval.csv"
@@ -145,6 +144,16 @@ def _train_then_eval_rows(tmp_path, **overrides):
 def test_train_then_eval_reproduces_the_row_bitwise(tmp_path):
     train_rows, eval_rows = _train_then_eval_rows(tmp_path)
     assert eval_rows == train_rows
+    assert (tmp_path / "trained" / "rat01_s01.report.jsonl").exists()
+
+
+def test_forest_train_then_eval_reproduces_the_row_bitwise(tmp_path):
+    train_rows, eval_rows = _train_then_eval_rows(
+        tmp_path, decoder__family="random_forest", decoder__n_trees="4", decoder__max_depth="4"
+    )
+    assert train_rows[0].split(",")[6] == "random_forest"
+    assert eval_rows == train_rows
+    assert not (tmp_path / "trained" / "rat01_s01.report.jsonl").exists()  # a forest has no epochs
 
 
 def test_eval_clips_like_training_when_the_model_was_trained_clipped(tmp_path):

@@ -4,12 +4,14 @@ import pytest
 
 from locodec.config import (
     EXPERIMENT_KINDS,
+    KIND_STRATEGIES,
     REGISTRY,
     load_config,
     parse_config_text,
     resolve,
 )
 from locodec.errors import ConfigError
+from locodec.protocols import STRATEGIES
 
 GOOD = """
 # comment and blank lines are fine
@@ -151,3 +153,26 @@ def test_load_config_reports_origin(tmp_path):
 
 def test_experiment_kinds_registry():
     assert EXPERIMENT_KINDS == ("baseline", "transfer", "regions", "bands", "offsets")
+
+
+@pytest.mark.parametrize(
+    "kind,strategy",
+    [
+        ("regions", "zeroshot_cross_subject"),
+        ("bands", "finetune_cross_session"),
+        ("offsets", "single_10"),
+        ("baseline", "finetune_cross_subject"),
+        ("transfer", "single_80"),
+    ],
+)
+def test_kind_rejects_strategies_it_cannot_run(kind, strategy):
+    with pytest.raises(ConfigError, match=f"experiment.kind={kind}"):
+        resolve({"experiment.kind": kind, "plan.strategy": strategy})
+
+
+def test_kind_accepts_its_strategies():
+    for kind, strategies in KIND_STRATEGIES.items():
+        for strategy in strategies:
+            assert resolve({"experiment.kind": kind, "plan.strategy": strategy}).plan.strategy == strategy
+    assert KIND_STRATEGIES["offsets"] == ("single_80",)
+    assert set(KIND_STRATEGIES["transfer"]) == set(STRATEGIES[2:])

@@ -376,13 +376,13 @@ def test_single_source_aggregation_is_identity():
         decoder=LIN, train=FAST, strategy="zeroshot_cross_session", master_seed=2
     )
     out = run_transfer(sessions, plan)
-    assert out.n_evaluations == 2
-    pair_by_target = {r.session_id: r for r in out.pair_results}
-    for agg in out.aggregated:
+    assert len(out.pairs) == 2
+    pair_by_target = {r.session_id: r for r in out.pairs}
+    for agg in out.results:
         assert agg.r == pair_by_target[agg.session_id].r
         assert agg.r2 == pair_by_target[agg.session_id].r2
         assert agg.source_id == ""
-    assert {r.source_id for r in out.pair_results} == {s.id for s in sessions}
+    assert {r.source_id for r in out.pairs} == {s.id for s in sessions}
 
 
 def test_run_transfer_rejects_single_strategies():

@@ -1,6 +1,7 @@
 """Training loop: convergence, early stopping, freezing, divergence, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,7 +79,19 @@ def test_freeze_body_keeps_body_bitwise():
         if not k.startswith("body.")
     )
     assert head_moved
-    assert report.n_params_updated == len(fitted.head_names())
+    assert report.n_params_updated == sum(n.startswith("head.") for n in fitted.params)
+
+
+def test_no_gradient_outlives_training():
+    # A frozen body still receives gradients in backward; none may sum
+    # across batches or travel back with the returned decoder.
+    spec = DecoderSpec(family="lstm_rnn", n_channels=3, lstm_hidden=8, head_hidden=(4,))
+    x, y = _window_problem(spec, n=120, seed=6)
+    cfg = trainer.TrainConfig(max_epochs=3, batch_size=32, shuffle_seed=7)
+    trained, _ = trainer.train(new_decoder(spec), x[:100], y[:100], x[100:], y[100:], cfg)
+    tuned, _ = trainer.fine_tune(trained, x[:100], y[:100], x[100:], y[100:], replace(cfg, freeze_body=True))
+    for fitted in (trained, tuned):
+        assert all(t.grad is None for t in fitted.params.values())
 
 
 def test_fine_tune_requires_freeze():
