@@ -8,11 +8,13 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- eight experiments, each followed by ``report``: ``baseline`` (ffnn,
+- ten experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
   quadratic fit has a row), ``finetune_cross_subject``, a gated
-  ``baseline`` and a ``transformer_encoder`` baseline;
+  ``baseline``, a ``transformer_encoder`` baseline, and two fine-tunes of
+  families with a frozen body: ``lstm_rnn`` with
+  ``finetune_cross_subject`` and ``ffnn`` with ``finetune_cross_session``;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``eval`` of that model at -100, 0 and 200 ms;
 - ``train`` of a 4-tree ``random_forest`` on the same session, and its
@@ -67,6 +69,8 @@ EXPERIMENTS = {
     "finetune": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject"},
     "gated": {"dataset.apply_gate": "true"},
     "transformer": {"decoder.family": "transformer_encoder", "decoder.embed_dim": "8", "decoder.n_heads": "2"},
+    "finetune_lstm": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject", "decoder.family": "lstm_rnn"},
+    "finetune_ffnn": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_session", "decoder.family": "ffnn"},
 }
 
 

@@ -1,9 +1,14 @@
 """Minimal reverse-mode automatic differentiation on dense float64 arrays.
 
-Define-by-run: each operation allocates a fresh output node that records its
-parent nodes and a backward closure. ``backward`` seeds the scalar loss with
-gradient one and walks the recorded graph once in reverse topological order,
-accumulating into ``Tensor.grad``. No operation mutates its inputs.
+Define-by-run: each operation allocates a fresh output node. Only a node that
+needs a gradient (``requires_grad``: a parameter, or any op with such a
+parent) records its parents and a backward closure; an op on constants alone
+returns a bare tensor, so inference on constant views of the parameters
+builds no graph and keeps none of the ops' saved arrays alive. ``backward``
+seeds the scalar loss with gradient one and walks the recorded graph once in
+reverse topological order, accumulating into ``Tensor.grad`` of the nodes
+that need a gradient and skipping every other gradient expression. No
+operation mutates its inputs.
 
 Storage and accumulation are float64 throughout so central finite differences
 with h around 1e-5 remain meaningful for gradient verification.
@@ -21,14 +26,15 @@ from .errors import ShapeError
 class Tensor:
     """Graph node: a float64 array plus gradient slot and provenance."""
 
-    __slots__ = ("data", "grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "grad", "parents", "backward_fn", "name", "requires_grad")
 
-    def __init__(self, data, name: str | None = None):
+    def __init__(self, data, name: str | None = None, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.parents: tuple[Tensor, ...] = ()
         self.backward_fn = None
         self.name = name
+        self.requires_grad = requires_grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -41,17 +47,20 @@ class Tensor:
 
 def parameter(data, name: str) -> Tensor:
     """A trainable leaf. Copies its input so later graph ops cannot alias it."""
-    return Tensor(np.array(data, dtype=np.float64), name=name)
+    return Tensor(np.array(data, dtype=np.float64), name=name, requires_grad=True)
 
 
 def constant(data) -> Tensor:
+    """A leaf that needs no gradient; a float64 array is wrapped, not copied."""
     return Tensor(data)
 
 
 def _node(data, parents, backward_fn) -> Tensor:
     out = Tensor(data)
-    out.parents = tuple(parents)
-    out.backward_fn = backward_fn
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
+        out.parents = tuple(parents)
+        out.backward_fn = backward_fn
     return out
 
 
@@ -79,8 +88,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -93,8 +104,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -115,8 +128,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward_fn(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -186,6 +201,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
     def backward_fn(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if not p.requires_grad:
+                continue
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(lo, hi)
             _accum(p, g[tuple(sl)])
@@ -240,15 +257,19 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     data = data + b.data
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
-        gw = np.zeros_like(w.data)
         g_rows = g.reshape(-1, c_out)
-        for i in range(k):
-            gx[..., i : i + length, :] += g @ w.data[i].T
-            gw[i] = x.data[..., i : i + length, :].reshape(-1, c_in).T @ g_rows
-        _accum(x, gx)
-        _accum(w, gw)
-        _accum(b, g_rows.sum(axis=0))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            for i in range(k):
+                gx[..., i : i + length, :] += g @ w.data[i].T
+            _accum(x, gx)
+        if w.requires_grad:
+            gw = np.zeros_like(w.data)
+            for i in range(k):
+                gw[i] = x.data[..., i : i + length, :].reshape(-1, c_in).T @ g_rows
+            _accum(w, gw)
+        if b.requires_grad:
+            _accum(b, g_rows.sum(axis=0))
 
     return _node(data, (x, w, b), backward_fn)
 
@@ -262,7 +283,8 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     ~15 matmul/add/narrow/sigmoid/tanh/mul nodes per step. It does the same
     float operations, and the steps' gradients reach wx, wh and b in the
     same order (last step first), so values and gradients are bitwise the
-    same as the composite graph's.
+    same as the composite graph's. The steps' activations are saved for
+    that backward pass only when wx, wh or b needs a gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     hdim = wh.data.shape[0]
@@ -273,6 +295,7 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     h = np.zeros((n, hdim))
     c = np.zeros((n, hdim))
     steps = []
+    keep_steps = wx.requires_grad or wh.requires_grad or b.requires_grad
     for t in range(t_len):
         gates = (x[:, t, :] @ wx.data + h @ wh.data) + b.data
         # gate slices are copied, as narrow() does, so the activations run
@@ -285,7 +308,8 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         c = f_g * c_prev + i_g * g_g
         tc = np.tanh(c)
         h = o_g * tc
-        steps.append((h_prev, c_prev, i_g, f_g, g_g, o_g, tc))
+        if keep_steps:
+            steps.append((h_prev, c_prev, i_g, f_g, g_g, o_g, tc))
 
     def backward_fn(gh):
         dc_next = None
@@ -300,10 +324,14 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             dgates[:, hdim : 2 * hdim] = dc * c_prev * f_g * (1.0 - f_g)
             dgates[:, 2 * hdim : 3 * hdim] = dc * i_g * (1.0 - g_g * g_g)
             dgates[:, 3 * hdim :] = gh * tc * o_g * (1.0 - o_g)
-            _accum(b, _unbroadcast(dgates, b.data.shape))
-            _accum(wx, x[:, t, :].T @ dgates)
-            _accum(wh, h_prev.T @ dgates)
-            gh = dgates @ wh.data.T
+            if b.requires_grad:
+                _accum(b, _unbroadcast(dgates, b.data.shape))
+            if wx.requires_grad:
+                _accum(wx, x[:, t, :].T @ dgates)
+            if wh.requires_grad:
+                _accum(wh, h_prev.T @ dgates)
+            if t > 0:
+                gh = dgates @ wh.data.T
 
     return _node(h, (wx, wh, b), backward_fn)
 
@@ -317,8 +345,10 @@ def mse(pred: Tensor, target: Tensor) -> Tensor:
 
     def backward_fn(g):
         gd = (2.0 / diff.size) * float(g) * diff
-        _accum(pred, gd)
-        _accum(target, -gd)
+        if pred.requires_grad:
+            _accum(pred, gd)
+        if target.requires_grad:
+            _accum(target, -gd)
 
     return _node(data, (pred, target), backward_fn)
 
@@ -331,8 +361,10 @@ def zero_grads(params) -> None:
 def backward(loss: Tensor, params=()) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Populates ``grad`` on every node reachable from ``loss``; any tensor in
-    ``params`` that the graph never touched gets an explicit zero gradient.
+    Populates ``grad`` on every node reachable from ``loss`` that needs a
+    gradient; only those nodes recorded a graph, and constants are never
+    filled. Any tensor in ``params`` that the graph never touched gets an
+    explicit zero gradient.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")

@@ -10,7 +10,9 @@ steps, and a one-block encoder-style transformer (token projection,
 sinusoidal positions, bidirectional multi-head attention, a width-3
 convolution over tokens, dense head). Each trainable family runs one batch
 forward on the package's own autodiff graph, whose ops take window stacks;
-the forest is fitted greedily and wrapped behind the same predict surface.
+prediction runs the same forward on constant views of the parameters, so it
+builds no graph. The forest is fitted greedily and wrapped behind the same
+predict surface.
 
 Body/head naming is load-bearing: parameters prefixed ``head.`` form the
 final dense stack and are the only ones updated when fine-tuning with a
@@ -242,8 +244,7 @@ class Decoder:
 
     # -- forward passes --------------------------------------------------------
 
-    def _forward_flat(self, x2d: np.ndarray, rng) -> ad.Tensor:
-        p = self.params
+    def _forward_flat(self, p, x2d: np.ndarray, rng) -> ad.Tensor:
         h = ad.constant(x2d)
         if self.spec.family == "linear":
             return ad.add(ad.matmul(h, p["head.w0"]), p["head.b0"])
@@ -252,14 +253,12 @@ class Decoder:
             h = _dropout(ad.relu(ad.add(ad.matmul(h, p[f"body.w{i}"]), p[f"body.b{i}"])), self.spec.dropout, rng)
         return ad.add(ad.matmul(h, p["head.w0"]), p["head.b0"])
 
-    def _forward_lstm(self, x3d: np.ndarray, rng) -> ad.Tensor:
-        p = self.params
+    def _forward_lstm(self, p, x3d: np.ndarray, rng) -> ad.Tensor:
         h = ad.lstm_sequence(x3d, p["body.wx"], p["body.wh"], p["body.b"])
         h = _dropout(h, self.spec.dropout, rng)
         return _mlp_head(h, p, "head", self.spec.head_hidden, self.spec.dropout, rng)
 
-    def _forward_transformer(self, x3d: np.ndarray, rng) -> ad.Tensor:
-        p = self.params
+    def _forward_transformer(self, p, x3d: np.ndarray, rng) -> ad.Tensor:
         spec = self.spec
         e = spec.embed_dim
         dh = e // spec.n_heads
@@ -283,18 +282,21 @@ class Decoder:
         pooled = _dropout(ad.mean(z, axis=1), spec.dropout, rng)
         return _mlp_head(pooled, p, "head", spec.head_hidden, spec.dropout, rng)
 
-    def _forward(self, x: np.ndarray, rng=None) -> ad.Tensor:
+    def _forward(self, params: dict[str, ad.Tensor], x: np.ndarray, rng=None) -> ad.Tensor:
+        """The family's batch output (n, 1) from the parameter tensors
+        ``params``: a graph back to them when they need a gradient, a bare
+        tensor when they are constants."""
         fam = self.spec.family
         if fam in ("linear", "ffnn"):
-            return self._forward_flat(x, rng)
+            return self._forward_flat(params, x, rng)
         if fam in RECURRENT_FAMILIES:
-            return self._forward_lstm(x, rng)
+            return self._forward_lstm(params, x, rng)
         if fam == "transformer_encoder":
-            return self._forward_transformer(x, rng)
+            return self._forward_transformer(params, x, rng)
         raise ValueError(f"family {fam} has no differentiable forward pass")
 
     def loss_batch(self, x: np.ndarray, y: np.ndarray, train_rng=None) -> ad.Tensor:
-        out = self._forward(_window_input(self.spec, x), rng=train_rng)
+        out = self._forward(self.params, _window_input(self.spec, x), rng=train_rng)
         return ad.mse(out, ad.constant(np.asarray(y, dtype=np.float64).reshape(-1, 1)))
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
@@ -303,7 +305,8 @@ class Decoder:
             if self.forest is None:
                 raise SpecMismatchError("random_forest decoder has not been fitted")
             return forest_predict(self.forest, x)
-        return self._forward(x).data.reshape(-1).copy()
+        constants = {n: ad.constant(t.data) for n, t in self.params.items()}
+        return self._forward(constants, x).data.reshape(-1)
 
 
 def new_decoder(spec: DecoderSpec) -> Decoder:

@@ -129,19 +129,19 @@ def train(
 
     With ``freeze_body`` only parameters outside the ``body.`` prefix move,
     which is how cross-subject fine-tuning retrains the readout stack while
-    keeping the learned feature body fixed.
+    keeping the learned feature body fixed. The clone's body tensors then
+    need no gradient, so backward never enters the body.
     """
     if decoder.spec.family == "random_forest":
         raise ValueError("random_forest decoders are fitted, not gradient-trained")
     if len(x_train) == 0:
         raise ValueError("empty training set")
     work = decoder.clone()
-    items = work.param_items()
-    params = [t for _, t in items]
     if config.freeze_body:
-        trainable = [t for name, t in items if not name.startswith("body.")]
-    else:
-        trainable = params
+        for name, t in work.param_items():
+            if name.startswith("body."):
+                t.requires_grad = False
+    trainable = [t for t in work.param_list() if t.requires_grad]
     if not trainable:
         raise ValueError("no trainable parameters selected")
 
@@ -171,9 +171,10 @@ def train(
                 raise DivergenceError(epoch, config.learning_rate)
             ad.backward(loss, params=trainable)
             opt.step(trainable)
-            # every gradient, a frozen body's too, dies with its batch, so none
-            # sums across batches or is returned (and pickled) with the decoder
-            ad.zero_grads(params)
+            # every gradient dies with its batch, so none sums across batches
+            # or is returned (and pickled) with the decoder; a frozen body
+            # never gets one
+            ad.zero_grads(trainable)
             total += float(loss.data) * len(idx)
         train_loss = total / n
         val_loss = _val_loss(work, x_val, y_val) if have_val else train_loss

@@ -273,6 +273,7 @@ def test_gradcheck_flags_corrupted_rule():
 
     def bad_square(t):
         out = ad.Tensor(t.data * t.data)
+        out.requires_grad = True
         out.parents = (t,)
 
         def backward_fn(g):
@@ -285,6 +286,9 @@ def test_gradcheck_flags_corrupted_rule():
 
     report = ad.gradcheck(lambda: ad.mean(bad_square(x)), [x], tolerance=1e-4)
     assert not report.passed
+    # a gradient that never arrives reads as zero, max_rel_err 1.0; the
+    # corrupted rule must be what fails
+    assert report.max_rel_err < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -245,20 +245,21 @@ def test_transformer_batch_matches_per_window_reference(spec):
         np.testing.assert_allclose(g, t.grad, rtol=0, atol=1e-12, err_msg=t.name)
 
 
-def _graph_size(root):
-    seen, stack = set(), [root]
+def _reachable(root):
+    seen, stack, nodes = set(), [root], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
+            nodes.append(node)
             stack.extend(node.parents)
-    return len(seen)
+    return nodes
 
 
 def test_transformer_builds_one_graph_per_batch():
     spec = SMALL["transformer_encoder"]
     d = dec.new_decoder(spec)
-    sizes = {n: _graph_size(d.loss_batch(_window_batch(spec, n=n), np.zeros(n))) for n in (1, 64)}
+    sizes = {n: len(_reachable(d.loss_batch(_window_batch(spec, n=n), np.zeros(n)))) for n in (1, 64)}
     assert sizes[1] == sizes[64]
 
 
@@ -405,6 +406,76 @@ def test_load_arrays_shape_mismatch():
     bad = {name: np.zeros((2, 2)) for name in d.params}
     with pytest.raises(SpecMismatchError):
         d.load_arrays(bad)
+
+
+# ---------------------------------------------------------------------------
+# graph-free inference and needs-grad pruning
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", dec.TRAINABLE_FAMILIES)
+def test_predict_builds_no_graph(family):
+    spec = SMALL[family]
+    d = dec.new_decoder(spec)
+    x = _window_batch(spec, n=5)
+    pred = d.predict_batch(x)
+    assert all(t.grad is None for t in d.params.values())
+    constants = {n: ad.constant(t.data) for n, t in d.params.items()}
+    assert all(constants[n].data is t.data for n, t in d.params.items())
+    out = d._forward(constants, dec._window_input(spec, x))
+    assert out.parents == () and out.backward_fn is None and not out.requires_grad
+    graph = d._forward(d.params, dec._window_input(spec, x))
+    assert graph.requires_grad and graph.parents
+    np.testing.assert_array_equal(pred, out.data.reshape(-1))
+    np.testing.assert_array_equal(pred, graph.data.reshape(-1))
+
+
+def test_lstm_predict_keeps_no_steps():
+    # lstm_sequence would save 7 (N, H) arrays per step for a backward pass;
+    # inference must hold well under half of that at its peak
+    import tracemalloc
+
+    spec = dec.DecoderSpec(family="lstm_rnn", n_channels=32, lstm_hidden=32)
+    d = dec.new_decoder(spec)
+    x = _window_batch(spec, n=2000, seed=3)
+    saved_steps = 7 * spec.lstm_hidden * spec.window_len * len(x) * 8
+    tracemalloc.start()
+    try:
+        d.predict_batch(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < saved_steps / 2, f"peak {peak / 2**20:.1f} MB vs saved steps {saved_steps / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("family", dec.TRAINABLE_FAMILIES)
+def test_frozen_body_backward_is_exact(family):
+    spec = SMALL[family]
+    x = _window_batch(spec, n=6, seed=4)
+    y = np.random.default_rng(5).standard_normal(6)
+    d = dec.new_decoder(spec)
+    params = d.param_list()
+    loss = d.loss_batch(x, y)
+    ad.backward(loss, params)
+    full = {n: t.grad for n, t in d.params.items()}
+    assert all(g is not None for g in full.values())
+    constants = [t for t in _reachable(loss) if not t.requires_grad]
+    assert constants  # the mse target at least
+    assert all(t.grad is None for t in constants)
+
+    ad.zero_grads(params)
+    body = [t for n, t in d.param_items() if n.startswith("body.")]
+    for t in body:
+        t.requires_grad = False
+    head = [t for t in params if t.requires_grad]
+    loss = d.loss_batch(x, y)
+    ad.backward(loss, head)
+    for n, t in d.params.items():
+        if n.startswith("body."):
+            assert t.grad is None, n
+        else:
+            assert t.grad.tobytes() == full[n].tobytes(), n
+    assert all(t.grad is None for t in _reachable(loss) if not t.requires_grad)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from locodec import autodiff as ad
 from locodec import trainer
 from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DivergenceError
@@ -83,8 +84,8 @@ def test_freeze_body_keeps_body_bitwise():
 
 
 def test_no_gradient_outlives_training():
-    # A frozen body still receives gradients in backward; none may sum
-    # across batches or travel back with the returned decoder.
+    # No gradient may sum across batches or travel back with the returned
+    # decoder, whether or not the body was frozen.
     spec = DecoderSpec(family="lstm_rnn", n_channels=3, lstm_hidden=8, head_hidden=(4,))
     x, y = _window_problem(spec, n=120, seed=6)
     cfg = trainer.TrainConfig(max_epochs=3, batch_size=32, shuffle_seed=7)
@@ -92,6 +93,24 @@ def test_no_gradient_outlives_training():
     tuned, _ = trainer.fine_tune(trained, x[:100], y[:100], x[100:], y[100:], replace(cfg, freeze_body=True))
     for fitted in (trained, tuned):
         assert all(t.grad is None for t in fitted.params.values())
+
+
+def test_fine_tuned_decoder_trains_every_parameter_again():
+    spec = DecoderSpec(family="lstm_rnn", n_channels=3, lstm_hidden=8, head_hidden=(4,))
+    x, y = _window_problem(spec, n=120, seed=6)
+    cfg = trainer.TrainConfig(max_epochs=2, batch_size=32, shuffle_seed=7)
+    tuned, report = trainer.fine_tune(new_decoder(spec), x[:100], y[:100], x[100:], y[100:], replace(cfg, freeze_body=True))
+    assert report.n_params_updated == sum(n.startswith("head.") for n in tuned.params)
+
+    work = tuned.clone()
+    params = work.param_list()
+    ad.backward(work.loss_batch(x[:32], y[:32]), params)
+    assert all(t.grad is not None and np.any(t.grad != 0.0) for t in params)
+
+    again, report = trainer.train(tuned, x[:100], y[:100], x[100:], y[100:], cfg)
+    assert report.n_params_updated == len(tuned.params) and report.best_epoch > 0
+    before, after = tuned.state_arrays(), again.state_arrays()
+    assert all(not np.array_equal(after[n], before[n]) for n in before)
 
 
 def test_fine_tune_requires_freeze():
