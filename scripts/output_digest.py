@@ -8,13 +8,14 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- ten experiments, each followed by ``report``: ``baseline`` (ffnn,
+- eleven experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
   quadratic fit has a row), ``finetune_cross_subject``, a gated
-  ``baseline``, a ``transformer_encoder`` baseline, and two fine-tunes of
+  ``baseline``, a ``transformer_encoder`` baseline, and three fine-tunes of
   families with a frozen body: ``lstm_rnn`` with
-  ``finetune_cross_subject`` and ``ffnn`` with ``finetune_cross_session``;
+  ``finetune_cross_subject``, and ``ffnn`` and ``transformer_encoder``
+  with ``finetune_cross_session``;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``eval`` of that model at -100, 0 and 200 ms;
 - ``train`` of a 4-tree ``random_forest`` on the same session, and its
@@ -71,6 +72,13 @@ EXPERIMENTS = {
     "transformer": {"decoder.family": "transformer_encoder", "decoder.embed_dim": "8", "decoder.n_heads": "2"},
     "finetune_lstm": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject", "decoder.family": "lstm_rnn"},
     "finetune_ffnn": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_session", "decoder.family": "ffnn"},
+    "finetune_transformer": {
+        "experiment.kind": "transfer",
+        "plan.strategy": "finetune_cross_session",
+        "decoder.family": "transformer_encoder",
+        "decoder.embed_dim": "8",
+        "decoder.n_heads": "2",
+    },
 }
 
 

@@ -2,9 +2,10 @@
 
 Every run writes its fully-resolved configuration next to its outputs.
 Tables are written by :func:`protocols.table_text`; all but timings,
-skipped cells and band energies embed the config hash and master seed on
-a leading comment line. Outputs are written atomically (temp file + rename). Exit
-codes: 0 success, 1 pipeline error, 2 malformed input or configuration.
+skipped cells, failed units and band energies embed the config hash and
+master seed on a leading comment line. Outputs are written atomically
+(temp file + rename). Exit codes: 0 success, 1 pipeline error, 2 malformed
+input or configuration.
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def cmd_experiment(args) -> int:
         _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, cfg.seed))
     if out.skipped:
         _write_atomic(out_dir / "skipped.csv", table_text(("session_id", "region_set"), out.skipped))
+    if out.failures:
+        columns = ("kind", "unit_id", "cell_id", "error", "message")
+        _write_atomic(out_dir / "failures.csv", table_text(columns, out.failures))
     if out.band_energies:
         columns = ("session_id", "band", "mean_channel_variance")
         _write_atomic(out_dir / "band_energies.csv", table_text(columns, out.band_energies))

@@ -14,9 +14,17 @@ prediction runs the same forward on constant views of the parameters, so it
 builds no graph. The forest is fitted greedily and wrapped behind the same
 predict surface.
 
-Body/head naming is load-bearing: parameters prefixed ``head.`` form the
-final dense stack and are the only ones updated when fine-tuning with a
-frozen body.
+Each trainable family's forward is its head applied to its body. The body
+maps a window stack to one row per window: the flat window (``linear``,
+whose body has no parameters), the last hidden layer (``ffnn``, dropout
+included), the last LSTM state, or the pooled transformer tokens. The head
+is the ``head.*`` dense stack; for the sequence families it first applies
+dropout to the body rows. Parameters prefixed ``head.`` are the only ones
+updated when fine-tuning with a frozen body. A frozen body is run once per
+window stack by :meth:`Decoder.body_rows`, as at inference, and
+:meth:`Decoder.loss_batch` and :meth:`Decoder.predict_batch` take the
+resulting :class:`BodyRows` in place of the stack and run only the head; a
+frozen ``ffnn`` body therefore applies no dropout.
 
 A model file (version 2) has one layout for every family: a JSON header
 ``{spec, meta}``, then one list of named arrays, the decoder's followed by
@@ -180,10 +188,48 @@ def _mlp_head(h: ad.Tensor, params, prefix: str, hidden: tuple[int, ...], rate, 
     return h
 
 
-def _window_input(spec: DecoderSpec, x) -> np.ndarray:
+@dataclass(frozen=True)
+class BodyRows:
+    """A body's output rows (n, width) for a stack of n windows, from
+    :meth:`Decoder.body_rows`. Indexing selects windows and ``shape[0]``
+    counts them, as on the stack."""
+
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, idx) -> "BodyRows":
+        return BodyRows(self.rows[idx])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.rows.shape
+
+
+def _head_width(spec: DecoderSpec) -> int:
+    """Width of the rows the family's head takes."""
+    if spec.family == "ffnn" and spec.ffnn_hidden:
+        return spec.ffnn_hidden[-1]
+    if spec.family in RECURRENT_FAMILIES:
+        return spec.lstm_hidden
+    if spec.family == "transformer_encoder":
+        return spec.embed_dim
+    return spec.flat_dim
+
+
+def _window_input(spec: DecoderSpec, x):
     """The family's input from a time-major window stack of shape (n,
     window_len, n_channels): flat families see each window flattened time
-    first (sample 0's channels first), sequence families the stack itself."""
+    first (sample 0's channels first), sequence families the stack itself.
+    Body rows pass through once their width is the head's."""
+    if isinstance(x, BodyRows):
+        width = _head_width(spec)
+        if spec.family == "random_forest" or x.rows.ndim != 2 or x.rows.shape[1] != width:
+            raise ShapeError(
+                f"{spec.family} decoder takes (n, {width}) body rows, got shape {x.shape}"
+            )
+        return x
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3 or x.shape[1:] != (spec.window_len, spec.n_channels):
         raise ShapeError(
@@ -244,21 +290,23 @@ class Decoder:
 
     # -- forward passes --------------------------------------------------------
 
-    def _forward_flat(self, p, x2d: np.ndarray, rng) -> ad.Tensor:
-        h = ad.constant(x2d)
-        if self.spec.family == "linear":
-            return ad.add(ad.matmul(h, p["head.w0"]), p["head.b0"])
-        dims = len(self.spec.ffnn_hidden)
-        for i in range(dims):
-            h = _dropout(ad.relu(ad.add(ad.matmul(h, p[f"body.w{i}"]), p[f"body.b{i}"])), self.spec.dropout, rng)
-        return ad.add(ad.matmul(h, p["head.w0"]), p["head.b0"])
+    def _body(self, p, x: np.ndarray, rng) -> ad.Tensor:
+        """The family's body output, one row per window."""
+        spec = self.spec
+        if spec.family == "linear":
+            return ad.constant(x)
+        if spec.family == "ffnn":
+            h = ad.constant(x)
+            for i in range(len(spec.ffnn_hidden)):
+                h = _dropout(ad.relu(ad.add(ad.matmul(h, p[f"body.w{i}"]), p[f"body.b{i}"])), spec.dropout, rng)
+            return h
+        if spec.family in RECURRENT_FAMILIES:
+            return ad.lstm_sequence(x, p["body.wx"], p["body.wh"], p["body.b"])
+        if spec.family == "transformer_encoder":
+            return self._transformer_body(p, x)
+        raise ValueError(f"family {spec.family} has no differentiable forward pass")
 
-    def _forward_lstm(self, p, x3d: np.ndarray, rng) -> ad.Tensor:
-        h = ad.lstm_sequence(x3d, p["body.wx"], p["body.wh"], p["body.b"])
-        h = _dropout(h, self.spec.dropout, rng)
-        return _mlp_head(h, p, "head", self.spec.head_hidden, self.spec.dropout, rng)
-
-    def _forward_transformer(self, p, x3d: np.ndarray, rng) -> ad.Tensor:
+    def _transformer_body(self, p, x3d: np.ndarray) -> ad.Tensor:
         spec = self.spec
         e = spec.embed_dim
         dh = e // spec.n_heads
@@ -279,34 +327,47 @@ class Decoder:
                 heads.append(ad.matmul(ad.softmax(scores, axis=2), vh))
             tok = ad.add(ad.matmul(ad.concat(heads, axis=2), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
         z = ad.relu(ad.conv1d(tok, p["body.conv_w"], p["body.conv_b"]))
-        pooled = _dropout(ad.mean(z, axis=1), spec.dropout, rng)
-        return _mlp_head(pooled, p, "head", spec.head_hidden, spec.dropout, rng)
+        return ad.mean(z, axis=1)
 
-    def _forward(self, params: dict[str, ad.Tensor], x: np.ndarray, rng=None) -> ad.Tensor:
+    def _head(self, p, h: ad.Tensor, rng) -> ad.Tensor:
+        """The ``head.*`` dense stack on body rows; the sequence families
+        first apply dropout to those rows."""
+        spec = self.spec
+        if spec.family in FLAT_FAMILIES:
+            return _mlp_head(h, p, "head", (), 0.0, None)
+        return _mlp_head(_dropout(h, spec.dropout, rng), p, "head", spec.head_hidden, spec.dropout, rng)
+
+    def _forward(self, params: dict[str, ad.Tensor], x, rng=None) -> ad.Tensor:
         """The family's batch output (n, 1) from the parameter tensors
-        ``params``: a graph back to them when they need a gradient, a bare
-        tensor when they are constants."""
-        fam = self.spec.family
-        if fam in ("linear", "ffnn"):
-            return self._forward_flat(params, x, rng)
-        if fam in RECURRENT_FAMILIES:
-            return self._forward_lstm(params, x, rng)
-        if fam == "transformer_encoder":
-            return self._forward_transformer(params, x, rng)
-        raise ValueError(f"family {fam} has no differentiable forward pass")
+        ``params``: the head applied to the body, or to ``x`` itself when it
+        holds body rows. A graph back to the parameters when they need a
+        gradient, a bare tensor when they are constants."""
+        h = ad.constant(x.rows) if isinstance(x, BodyRows) else self._body(params, x, rng)
+        return self._head(params, h, rng)
 
-    def loss_batch(self, x: np.ndarray, y: np.ndarray, train_rng=None) -> ad.Tensor:
+    def _constants(self) -> dict[str, ad.Tensor]:
+        return {n: ad.constant(t.data) for n, t in self.params.items()}
+
+    def body_rows(self, x: np.ndarray) -> "BodyRows":
+        """The body's output for a window stack, run once on constant views
+        of the parameters as at inference (so no ``ffnn`` body dropout).
+        :meth:`loss_batch` and :meth:`predict_batch` take the result in
+        place of the stack and run only the head."""
+        if isinstance(x, BodyRows):
+            raise ShapeError("body_rows takes a window stack, not body rows")
+        return BodyRows(self._body(self._constants(), _window_input(self.spec, x), None).data)
+
+    def loss_batch(self, x, y: np.ndarray, train_rng=None) -> ad.Tensor:
         out = self._forward(self.params, _window_input(self.spec, x), rng=train_rng)
         return ad.mse(out, ad.constant(np.asarray(y, dtype=np.float64).reshape(-1, 1)))
 
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+    def predict_batch(self, x) -> np.ndarray:
         x = _window_input(self.spec, x)
         if self.spec.family == "random_forest":
             if self.forest is None:
                 raise SpecMismatchError("random_forest decoder has not been fitted")
             return forest_predict(self.forest, x)
-        constants = {n: ad.constant(t.data) for n, t in self.params.items()}
-        return self._forward(constants, x).data.reshape(-1)
+        return self._forward(self._constants(), x).data.reshape(-1)
 
 
 def new_decoder(spec: DecoderSpec) -> Decoder:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .decoders import Decoder, DecoderSpec, fit_forest_decoder, new_decoder
 from .dsp import BAND_NAMES, autocorrelation, band, band_isolate
-from .errors import DegenerateDataError, FormatError, LeakageError, PlanError, SplitError
+from .errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from .sessions import (
     REGIONS,
     WINDOW_LEN,
@@ -462,7 +462,8 @@ def _aggregate_per_target(pair_results: list[EvalResult], plan: ExperimentPlan) 
 
 def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -> ExperimentOutput:
     """Per-target rows in ``results``, one row per (source, target) pair in
-    ``pairs``."""
+    ``pairs``. A source that fails is recorded, and so is each of its
+    pairs."""
     if plan.strategy not in STRATEGIES[2:]:
         raise PlanError(f"run_transfer cannot execute strategy {plan.strategy!r}")
     pairs = transfer_pairs(sessions, plan.strategy)
@@ -471,13 +472,17 @@ def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -
     out = ExperimentOutput([], [], [])
     source_plan = replace(plan, strategy="single_80")
     units = [(sid, (by_id[sid], source_plan)) for sid in sources]
-    runs = _map_jobs(out, "train", plan.cell_id, run_single_session, units, jobs)
-    models = {sid: (run.decoder, run.normalizer) for sid, run in zip(sources, runs)}
+    runs = dict(zip(sources, _map_jobs(out, "train", plan.cell_id, run_single_session, units, jobs)))
+    n_trained = len(out.results)
     # pairs run here one at a time, so each tuned decoder is freed before the next
     for src, tgt in pairs:
-        unit = (f"{src.id}->{tgt.id}", (src.id, *models[src.id], tgt, plan))
+        pair_id, run = f"{src.id}->{tgt.id}", runs[src.id]
+        if isinstance(run, UnitFailure):
+            out.failures.append(("pair", pair_id, plan.cell_id, run.error, f"source {src.id} failed: {run.message}"))
+            continue
+        unit = (pair_id, (src.id, run.decoder, run.normalizer, tgt, plan))
         _map_jobs(out, "pair", plan.cell_id, _transfer_unit, [unit], 1)
-    out.pairs = out.results[len(sources) :]
+    out.pairs = out.results[n_trained:]
     out.results = _aggregate_per_target(out.pairs, plan)
     return out
 
@@ -494,20 +499,49 @@ class ExperimentOutput:
     skipped: list[tuple[str, str]] = field(default_factory=list)
     band_energies: list[tuple[str, str, float]] = field(default_factory=list)
     pairs: list[EvalResult] = field(default_factory=list)
+    # (kind, unit_id, cell_id, error class, message) per failed unit
+    failures: list[tuple[str, str, str, str, str]] = field(default_factory=list)
+
+
+# Errors that a unit's own data or training can raise; the unit is recorded
+# as failed and the rest of the grid runs. Any other error aborts the run.
+UNIT_ERRORS = (DegenerateDataError, DivergenceError)
+
+
+@dataclass(frozen=True)
+class UnitFailure:
+    """A unit that raised one of :data:`UNIT_ERRORS`: the error's class name
+    and message."""
+
+    error: str
+    message: str
+
+
+def _guarded(worker, *args):
+    """``worker(*args)``, or the :class:`UnitFailure` of a unit error; a
+    plain record, so it returns intact from a worker process."""
+    try:
+        return worker(*args)
+    except UNIT_ERRORS as exc:
+        return UnitFailure(type(exc).__name__, str(exc))
 
 
 def _map_jobs(out: ExperimentOutput, kind: str, cell_id: str, worker, units, jobs: int):
     """Run ``worker(*args)`` for each ``(unit_id, args)`` of ``units`` over
     ``jobs`` worker processes (here when 1), and record each unit's result,
     hygiene record and ``kind:unit_id:cell_id`` timing in ``out``, in unit
-    order. Returns the runs."""
+    order, or its failure when it raised one of :data:`UNIT_ERRORS`. Returns
+    the runs, with a :class:`UnitFailure` in place of each failed one."""
     if jobs <= 1 or len(units) <= 1:
-        runs = [worker(*args) for _, args in units]
+        runs = [_guarded(worker, *args) for _, args in units]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(worker, *args) for _, args in units]
+            futures = [ex.submit(_guarded, worker, *args) for _, args in units]
             runs = [f.result() for f in futures]
     for (unit_id, _), run in zip(units, runs):
+        if isinstance(run, UnitFailure):
+            out.failures.append((kind, unit_id, cell_id, run.error, run.message))
+            continue
         out.results.append(run.result)
         out.hygiene.append(run.hygiene)
         out.timings.append((f"{kind}:{unit_id}:{cell_id}", run.wall_time_s))

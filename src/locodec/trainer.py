@@ -7,6 +7,12 @@ strict improvement rule, and restoration of the best checkpoint seen
 decoder is quantized to the float32 storage grid so that a model written to
 disk predicts bitwise identically after reload.
 
+With ``freeze_body`` only the head (the ``head.*`` parameters) trains. The
+body, which maps each window to one row of features, does not change, so
+it runs once on the fit stack and once on the validation stack, and the
+loop trains the head on those body rows. A frozen ``ffnn`` body runs as at
+inference, without its dropout.
+
 Training raises :class:`DivergenceError` the moment a batch or validation
 loss goes non-finite; a half-trained decoder is never returned.
 """
@@ -129,8 +135,8 @@ def train(
 
     With ``freeze_body`` only parameters outside the ``body.`` prefix move,
     which is how cross-subject fine-tuning retrains the readout stack while
-    keeping the learned feature body fixed. The clone's body tensors then
-    need no gradient, so backward never enters the body.
+    keeping the learned feature body fixed. The body then runs once, on the
+    fit and validation stacks, and the loop trains the head on its rows.
     """
     if decoder.spec.family == "random_forest":
         raise ValueError("random_forest decoders are fitted, not gradient-trained")
@@ -141,6 +147,7 @@ def train(
         for name, t in work.param_items():
             if name.startswith("body."):
                 t.requires_grad = False
+        x_train, x_val = work.body_rows(x_train), work.body_rows(x_val)
     trainable = [t for t in work.param_list() if t.requires_grad]
     if not trainable:
         raise ValueError("no trainable parameters selected")

@@ -94,7 +94,8 @@ def test_every_entry_point_rejects_a_wrong_window_shape(family):
         d.loss_batch(good, y)
     d.predict_batch(good)
     extra_channel = np.concatenate([good, good[:, :, :1]], axis=2)
-    for bad in (good.reshape(6, -1), extra_channel, good[:, 1:, :], good[0]):
+    # body rows as wide as a window's first sample fit no family's head
+    for bad in (good.reshape(6, -1), extra_channel, good[:, 1:, :], good[0], dec.BodyRows(good[:, 0, :])):
         with pytest.raises(ShapeError):
             d.predict_batch(bad)
         if family == "random_forest":
@@ -476,6 +477,78 @@ def test_frozen_body_backward_is_exact(family):
         else:
             assert t.grad.tobytes() == full[n].tobytes(), n
     assert all(t.grad is None for t in _reachable(loss) if not t.requires_grad)
+
+
+# ---------------------------------------------------------------------------
+# body rows: a frozen body run once, the head on its output
+# ---------------------------------------------------------------------------
+
+
+def _perturbed(spec, seed=11):
+    """A decoder whose parameters are all far from their zero-bias init."""
+    d = dec.new_decoder(spec)
+    rng = np.random.default_rng(seed)
+    for t in d.params.values():
+        t.data = 0.3 * rng.standard_normal(t.data.shape)
+    return d
+
+
+@pytest.mark.parametrize("family", dec.TRAINABLE_FAMILIES)
+def test_body_rows_predict_like_the_window_stack(family):
+    spec = SMALL[family]
+    d = _perturbed(spec)
+    x = _window_batch(spec, n=37, seed=2)
+    rows = d.body_rows(x)
+    assert rows.shape == (37, dec._head_width(spec)) and len(rows) == 37
+    assert d.predict_batch(rows).tobytes() == d.predict_batch(x).tobytes()
+    assert all(t.grad is None for t in d.params.values())
+
+
+@pytest.mark.parametrize(
+    "family, dropout",
+    [(f, 0.0) for f in dec.TRAINABLE_FAMILIES] + [("lstm_rnn", 0.2), ("transformer_encoder", 0.2)],
+)
+def test_loss_on_row_sub_batches_is_the_window_loss(family, dropout):
+    spec = replace(SMALL[family], dropout=dropout)
+    d = _perturbed(spec)
+    for name, t in d.params.items():
+        t.requires_grad = not name.startswith("body.")
+    head = [t for t in d.param_list() if t.requires_grad]
+    x = _window_batch(spec, n=40, seed=3)
+    y = np.random.default_rng(4).standard_normal(40)
+    rows = d.body_rows(x)
+    perm = np.random.default_rng(5).permutation(40)
+    for idx in (perm[:2], perm[2:7], perm[7:]):
+        results = []
+        for inputs in (x[idx], rows[idx]):
+            loss = d.loss_batch(inputs, y[idx], train_rng=np.random.default_rng(6))
+            ad.backward(loss, head)
+            results.append((loss.data.tobytes(), [t.grad.tobytes() for t in head]))
+            ad.zero_grads(head)
+        assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "family, other",
+    [
+        ("linear", {"n_channels": 4}),
+        ("ffnn", {"ffnn_hidden": (8, 5)}),
+        ("lstm_rnn", {"lstm_hidden": 7}),
+        ("transformer_encoder", {"embed_dim": 6}),
+        ("speed_rnn", {"lstm_hidden": 6}),
+    ],
+)
+def test_rows_of_another_head_width_are_rejected(family, other):
+    spec = SMALL[family]
+    d = dec.new_decoder(spec)
+    foreign_spec = replace(spec, **other)
+    rows = dec.new_decoder(foreign_spec).body_rows(_window_batch(foreign_spec, n=5))
+    with pytest.raises(ShapeError):
+        d.predict_batch(rows)
+    with pytest.raises(ShapeError):
+        d.loss_batch(rows, np.zeros(5))
+    with pytest.raises(ShapeError):
+        d.body_rows(d.body_rows(_window_batch(spec, n=5)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,23 @@ assertions, seed derivation, identity configurations, and the results
 table format.
 """
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locodec.decoders import DecoderSpec, new_decoder
-from locodec.errors import DegenerateDataError, FormatError, LeakageError, PlanError, SplitError
+from locodec.errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from locodec.protocols import (
     DEFAULT_OFFSETS_MS,
     EvalResult,
+    ExperimentOutput,
     ExperimentPlan,
     HygieneRecord,
+    UnitFailure,
+    _map_jobs,
     _split_windows,
     autocorrelation_results,
     check_no_test_leakage,
@@ -282,6 +287,50 @@ def test_constant_test_speed_is_a_data_defect():
     plan = ExperimentPlan(decoder=LIN, train=FAST)
     with pytest.raises(DegenerateDataError):
         run_single_session(flat, plan)
+
+
+def _seed3_fleet():
+    # rat01_s01's test speed is constant on this fleet (default speed_bias)
+    return generate_synthetic_fleet(FleetSpec(seed=3, n_channels=8, duration_s=20.0))
+
+
+def test_a_data_defect_fails_its_unit_and_the_grid_runs():
+    sessions = _seed3_fleet()
+    plan = ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1))
+    out = run_baseline(sessions, plan)
+    assert [r.session_id for r in out.results] == [s.id for s in sessions[1:]]
+    assert len(out.hygiene) == len(out.timings) == len(sessions) - 1
+    assert out.failures == [
+        ("single", "rat01_s01", plan.cell_id, "DegenerateDataError", "test speed trace is constant")
+    ]
+
+
+def test_a_failed_transfer_source_fails_each_of_its_pairs():
+    sessions = _seed3_fleet()
+    plan = ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1), strategy="finetune_cross_session")
+    out = run_transfer(sessions, plan, jobs=2)
+    failed = {(kind, unit) for kind, unit, *_ in out.failures}
+    # rat01_s02 trains, but its pair scores the defective rat01_s01 segment
+    assert failed == {("train", "rat01_s01"), ("pair", "rat01_s01->rat01_s02"), ("pair", "rat01_s02->rat01_s01")}
+    assert out.failures[1][3:] == ("DegenerateDataError", "source rat01_s01 failed: test speed trace is constant")
+    assert sorted((r.source_id, r.session_id) for r in out.pairs) == [
+        ("rat02_s01", "rat02_s02"), ("rat02_s02", "rat02_s01"), ("rat03_s01", "rat03_s02"), ("rat03_s02", "rat03_s01")
+    ]
+    assert [r.session_id for r in out.results] == ["rat02_s01", "rat02_s02", "rat03_s01", "rat03_s02"]
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_only_unit_errors_are_recorded():
+    out = ExperimentOutput([], [], [])
+    runs = _map_jobs(out, "single", "cell", _raise, [("u1", (DivergenceError(3, 0.1),))], 1)
+    assert runs == [UnitFailure("DivergenceError", "non-finite training loss at epoch 3 (lr=0.1)")]
+    assert out.failures == [("single", "u1", "cell", *astuple(runs[0]))]
+    for exc in (LeakageError("leak"), SplitError("short"), ValueError("bug")):
+        with pytest.raises(type(exc)):
+            _map_jobs(out, "single", "cell", _raise, [("u2", (exc,))], 1)
 
 
 def test_single_10_trains_on_less_data_than_single_80():

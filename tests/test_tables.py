@@ -147,6 +147,10 @@ EXPECTED = {
         "rat01_s01,visual\n"
         "rat02_s01,visual\n"
     ),
+    "failures": (
+        "kind,unit_id,cell_id,error,message\n"
+        "single,rat01_s01,single_80|linear|all|fullband|0,DegenerateDataError,test speed trace is constant\n"
+    ),
     "band_energies": (
         "session_id,band,mean_channel_variance\n"
         "rat01_s01,theta,0.010328428386573631\n"
@@ -193,11 +197,24 @@ CLI_CFG = {
     "experiment.bands": "theta,beta",
 }
 
-# (experiment kind, strategy, table it writes besides results.csv)
+# the fleet of seed 3 with the default speed_bias, on which rat01_s01's
+# test speed is constant
+DEFECT_FLEET = {
+    "dataset.synthetic.seed": "3",
+    "dataset.synthetic.n_rats": "3",
+    "dataset.synthetic.sessions_per_rat": "2",
+    "dataset.synthetic.n_channels": "8",
+    "dataset.synthetic.speed_bias": "0.3",
+    "train.max_epochs": "1",
+}
+
+# (experiment kind, strategy, table it writes besides results.csv, config
+# entries that replace CLI_CFG's)
 CLI_TABLES = {
-    "results_pairs": ("transfer", "zeroshot_cross_subject", "results_pairs.csv"),
-    "skipped": ("regions", "single_80", "skipped.csv"),
-    "band_energies": ("bands", "single_80", "band_energies.csv"),
+    "results_pairs": ("transfer", "zeroshot_cross_subject", "results_pairs.csv", {}),
+    "skipped": ("regions", "single_80", "skipped.csv", {}),
+    "band_energies": ("bands", "single_80", "band_energies.csv", {}),
+    "failures": ("baseline", "single_80", "failures.csv", DEFECT_FLEET),
 }
 
 
@@ -205,9 +222,9 @@ CLI_TABLES = {
 def cli_tables(tmp_path_factory):
     root = tmp_path_factory.mktemp("tables")
     texts = {}
-    for name, (kind, strategy, table) in CLI_TABLES.items():
+    for name, (kind, strategy, table, overrides) in CLI_TABLES.items():
         cfg = root / f"{name}.cfg"
-        entries = dict(CLI_CFG, **{"experiment.kind": kind, "plan.strategy": strategy})
+        entries = dict(CLI_CFG, **{"experiment.kind": kind, "plan.strategy": strategy}, **overrides)
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
         out = root / name
         assert entrypoint(["experiment", "--config", str(cfg), "--out", str(out)]) == 0

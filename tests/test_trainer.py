@@ -113,6 +113,71 @@ def test_fine_tuned_decoder_trains_every_parameter_again():
     assert all(not np.array_equal(after[n], before[n]) for n in before)
 
 
+def _per_batch_fine_tune(decoder, x, y, x_val, y_val, cfg):
+    """Reference: the training loop with the frozen body run on every batch
+    and every validation pass."""
+    work = decoder.clone()
+    for name, t in work.param_items():
+        t.requires_grad = not name.startswith("body.")
+    head = [t for t in work.param_list() if t.requires_grad]
+    opt = trainer._Adam(head, cfg)
+    rng = np.random.default_rng(cfg.shuffle_seed)
+
+    def val_loss():
+        return float(np.mean((work.predict_batch(x_val) - y_val) ** 2))
+
+    best, best_state, since_best = val_loss(), work.state_arrays(), 0
+    for _ in range(cfg.max_epochs):
+        perm = rng.permutation(len(x))
+        for start in range(0, len(x), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            loss = work.loss_batch(x[idx], y[idx], train_rng=rng if work.spec.dropout > 0.0 else None)
+            ad.backward(loss, head)
+            opt.step(head)
+            ad.zero_grads(head)
+        loss = val_loss()
+        if loss < best:
+            best, best_state, since_best = loss, work.state_arrays(), 0
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    work.load_arrays(best_state)
+    work.quantize_f32()
+    return work
+
+
+FROZEN_SPECS = {
+    "linear": DecoderSpec(family="linear", n_channels=3),
+    "ffnn": DecoderSpec(family="ffnn", n_channels=3, ffnn_hidden=(8, 4)),
+    "lstm_rnn": DecoderSpec(family="lstm_rnn", n_channels=3, lstm_hidden=8, head_hidden=(4,)),
+    "transformer_encoder": DecoderSpec(
+        family="transformer_encoder", n_channels=3, embed_dim=8, n_heads=2, head_hidden=(4,)
+    ),
+    "speed_rnn": DecoderSpec(family="speed_rnn", n_channels=1, lstm_hidden=5, head_hidden=(4,)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, dropout",
+    [(f, 0.0) for f in FROZEN_SPECS] + [("lstm_rnn", 0.2), ("transformer_encoder", 0.2)],
+)
+def test_fine_tune_on_body_rows_matches_the_per_batch_loop(family, dropout):
+    spec = replace(FROZEN_SPECS[family], dropout=dropout)
+    x, y = _window_problem(spec, n=115, seed=12)
+    pretrained, _ = trainer.train(new_decoder(spec), x[49:], y[49:], x[:49], y[:49], trainer.TrainConfig(max_epochs=2))
+    # 49 fit windows in batches of 16, so the last batch holds a single
+    # window; validated on the same windows, so that the head's progress shows
+    x, y = x[:49], y[:49]
+    cfg = trainer.TrainConfig(
+        max_epochs=6, batch_size=16, learning_rate=1e-2, patience=3, freeze_body=True, shuffle_seed=13
+    )
+    tuned, report = trainer.fine_tune(pretrained, x, y, x, y, cfg)
+    assert report.best_epoch > 0
+    reference = _per_batch_fine_tune(pretrained, x, y, x, y, cfg)
+    assert tuned.checksum() == reference.checksum()
+
+
 def test_fine_tune_requires_freeze():
     x, y = _window_problem(LIN, n=50, seed=8)
     with pytest.raises(ValueError):
