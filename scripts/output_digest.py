@@ -17,6 +17,7 @@ runs, in-process, one fixed set of commands on a 2-rat x 2-session,
   ``finetune_cross_subject``, and ``ffnn`` and ``transformer_encoder``
   with ``finetune_cross_session``;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
+- ``synth --seed``, the form of ``synth`` the benchmark runs;
 - ``eval`` of that model at -100, 0 and 200 ms;
 - ``train`` of a 4-tree ``random_forest`` on the same session, and its
   ``eval`` at 0 ms, so that the forest's model file is read back too;
@@ -100,6 +101,7 @@ def run_commands(entrypoint, jobs: int) -> None:
         run("report", f"{name}/results.csv", "--out", f"{name}/report")
 
     run("synth", "--config", _write_cfg(Path("synth.cfg"), FLEET), "--out", "synth")
+    run("synth", "--config", "synth.cfg", "--out", "synth_seed", "--seed", 11)
     disk = {**FLEET, "dataset.synthetic": "false", "dataset.paths": "synth/*.bin", "train.session": "rat01_s01"}
     run("train", "--config", _write_cfg(Path("train.cfg"), disk), "--out", "train", "--band", "theta")
     for offset in (-100, 0, 200):

@@ -109,16 +109,8 @@ def _resolve_from_args(args) -> ResolvedRun:
         overrides["run.out_dir"] = args.out
     if getattr(args, "jobs", None) is not None:
         overrides["run.jobs"] = str(args.jobs)
-    if getattr(args, "strategy", None):
-        overrides["plan.strategy"] = args.strategy
     if getattr(args, "band", None):
         overrides["plan.band"] = args.band
-    if getattr(args, "regions", None):
-        overrides["plan.region_set"] = args.regions
-    if getattr(args, "offset_ms", None) is not None:
-        overrides["plan.offset_ms"] = str(args.offset_ms)
-    if getattr(args, "iqr_threshold", None) is not None:
-        overrides["dataset.iqr_threshold"] = str(args.iqr_threshold)
     seed = getattr(args, "seed", None)
     if seed is None and os.environ.get("LOCODEC_SEED"):
         seed = os.environ["LOCODEC_SEED"]
@@ -357,9 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one decoder on one session")
     add_common(p)
-    p.add_argument("--strategy", help="single_80 or single_10")
     p.add_argument("--band", help="band isolation before training")
-    p.add_argument("--regions", help="comma-separated region subset")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model file on a session")
@@ -372,11 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an experiment grid from a config")
     add_common(p)
     p.add_argument("--jobs", type=int, help="worker processes (1 = serial reference run)")
-    p.add_argument("--strategy")
-    p.add_argument("--band")
-    p.add_argument("--regions")
-    p.add_argument("--offset-ms", type=int, dest="offset_ms")
-    p.add_argument("--iqr-threshold", type=float, dest="iqr_threshold")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("report", help="summarize a results table into report CSVs")

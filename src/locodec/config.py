@@ -11,7 +11,7 @@ files.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .decoders import DecoderSpec, FAMILIES
 from .dsp import BAND_NAMES
@@ -81,12 +81,35 @@ def _opt_int(raw: str):
     return None if raw.strip().lower() in ("", "none") else _int(raw)
 
 
-# key -> (parser, default). Defaults mirror the dataclass defaults; the
-# registry is the single source of truth for what a config may say. Under
-# the prefixes dataset.synthetic., decoder., train. and plan. the rest of a
-# key is a field name of FleetSpec, DecoderSpec, TrainConfig or
-# ExperimentPlan (train.session excepted): resolve passes each value to
-# its field by that name.
+# a spec field's annotation text -> the parser of its config values
+_PARSERS = {
+    "bool": _bool,
+    "int": _int,
+    "float": _float,
+    "str": _str,
+    "int | None": _opt_int,
+    "tuple[int, ...]": _int_tuple,
+    "tuple[str, ...]": _str_tuple,
+    "tuple[float, float]": _float_pair,
+}
+
+
+def _spec_keys(prefix: str, spec, filled=(), **defaults) -> dict[str, tuple]:
+    """One registry entry per field of ``spec``: the key is ``prefix`` plus
+    the field name, parsed by the field's annotation, defaulting to the
+    field's default unless ``defaults`` names one. Fields in ``filled`` are
+    set by :func:`resolve` itself and have no key."""
+    return {
+        prefix + f.name: (_PARSERS[f.type], defaults.get(f.name, f.default))
+        for f in fields(spec)
+        if f.name not in filled
+    }
+
+
+# key -> (parser, default); a config may say nothing else. Under the
+# prefixes dataset.synthetic., decoder., train. and plan. the rest of a key
+# is a field name of FleetSpec, DecoderSpec, TrainConfig or ExperimentPlan
+# (train.session excepted), and the field gives the key's default.
 REGISTRY: dict[str, tuple] = {
     "run.out_dir": (_str, "runs/out"),
     "run.seed": (_int, 0),
@@ -101,52 +124,11 @@ REGISTRY: dict[str, tuple] = {
     "dataset.apply_gate": (_bool, False),
     "dataset.iqr_threshold": (_opt_float, None),
     "dataset.synthetic": (_bool, False),
-    "dataset.synthetic.n_rats": (_int, 3),
-    "dataset.synthetic.sessions_per_rat": (_int, 2),
-    "dataset.synthetic.n_channels": (_int, 32),
-    "dataset.synthetic.duration_s": (_float, 60.0),
-    "dataset.synthetic.sample_rate_hz": (_float, 100.0),
-    "dataset.synthetic.encoding": (_str, "linear"),
-    "dataset.synthetic.signal_regions": (_str_tuple, ("medial_prefrontal", "somatomotor", "motor", "visual")),
-    "dataset.synthetic.carrier_band": (_float_pair, (4.0, 8.0)),
-    "dataset.synthetic.noise_scale": (_float, 0.3),
-    "dataset.synthetic.linear_mix": (_float, 0.35),
-    "dataset.synthetic.lead_ms": (_float, 0.0),
-    "dataset.synthetic.eight_hz_gain": (_float, 0.0),
-    "dataset.synthetic.speed_tau_s": (_float, 2.0),
-    "dataset.synthetic.speed_bias": (_float, 0.3),
-    "dataset.synthetic.speed_scale": (_float, 2.5),
-    "dataset.synthetic.session_gain_jitter": (_float, 0.0),
-    "dataset.synthetic.scramble_channels": (_bool, False),
-    "dataset.synthetic.seed": (_int, 0),
-    "decoder.family": (_str, "lstm_rnn"),
-    "decoder.ffnn_hidden": (_int_tuple, (256, 64)),
-    "decoder.lstm_hidden": (_int, 64),
-    "decoder.head_hidden": (_int_tuple, (32,)),
-    "decoder.embed_dim": (_int, 64),
-    "decoder.n_heads": (_int, 4),
-    "decoder.n_blocks": (_int, 1),
-    "decoder.conv_kernel": (_int, 3),
-    "decoder.dropout": (_float, 0.0),
-    "decoder.n_trees": (_int, 100),
-    "decoder.max_depth": (_opt_int, 12),
-    "decoder.use_positional": (_bool, True),
-    "train.max_epochs": (_int, 60),
-    "train.batch_size": (_int, 64),
-    "train.learning_rate": (_float, 1e-3),
-    "train.optimizer": (_str, "adam"),
-    "train.beta1": (_float, 0.9),
-    "train.beta2": (_float, 0.999),
-    "train.adam_eps": (_float, 1e-8),
-    "train.patience": (_int, 5),
+    **_spec_keys("dataset.synthetic.", FleetSpec),
+    **_spec_keys("decoder.", DecoderSpec, ("n_channels", "window_len", "seed"), family="lstm_rnn"),
+    **_spec_keys("train.", TrainConfig, ("freeze_body", "shuffle_seed")),
     "train.session": (_str, ""),
-    "plan.strategy": (_str, "single_80"),
-    "plan.band": (_str, "fullband"),
-    "plan.region_set": (_str_tuple, ()),
-    "plan.offset_ms": (_int, 0),
-    "plan.refit_normalizer": (_bool, False),
-    "plan.refresh_normalizer": (_bool, True),
-    "plan.clip_nonnegative": (_bool, False),
+    **_spec_keys("plan.", ExperimentPlan, ("decoder", "train", "master_seed")),
 }
 
 

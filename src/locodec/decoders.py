@@ -141,7 +141,7 @@ def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
         for name, bname, din, dout in _mlp_param_names("head", h, spec.head_hidden):
             params[name] = _glorot(rng, (din, dout))
             params[bname] = np.zeros(dout)
-    elif spec.family == "transformer_encoder":
+    else:  # transformer_encoder; a random_forest decoder has no tensors to init
         e = spec.embed_dim
         params["body.embed_w"] = _glorot(rng, (spec.n_channels, e))
         params["body.embed_b"] = np.zeros(e)
@@ -158,8 +158,6 @@ def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
         for name, bname, din, dout in _mlp_param_names("head", e, spec.head_hidden):
             params[name] = _glorot(rng, (din, dout))
             params[bname] = np.zeros(dout)
-    else:  # random_forest has no trainable tensors
-        return {}
     return {k: ad.parameter(v, k) for k, v in params.items()}
 
 

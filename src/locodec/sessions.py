@@ -24,6 +24,7 @@ from . import dsp
 from .errors import (
     FormatError,
     IntegrityError,
+    ShapeError,
     SplitError,
     UnsupportedRateError,
 )
@@ -445,6 +446,10 @@ def apply_normalizer(norm: Normalizer, eeg: np.ndarray) -> np.ndarray:
 
 
 def normalized_session(s: Session, norm: Normalizer) -> Session:
+    if norm.mean.size != s.n_channels:
+        raise ShapeError(
+            f"session {s.id} has {s.n_channels} channels; the normalizer was fit on {norm.mean.size}"
+        )
     return dataclasses.replace(s, eeg=apply_normalizer(norm, s.eeg))
 
 

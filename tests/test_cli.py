@@ -192,6 +192,42 @@ def test_eval_offset_flag_trims_windows(tmp_path):
     assert int(fields[9]) == int(row0.split(",")[9]) - 20
 
 
+def test_eval_without_out_writes_the_row_to_stdout(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    fleet_dir, train_dir, out_csv = tmp_path / "fleet", tmp_path / "trained", tmp_path / "eval.csv"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
+    assert entrypoint(["train", "--config", str(cfg), "--out", str(train_dir)]) == 0
+    argv = ["eval", str(train_dir / "rat01_s01.model"), str(fleet_dir / "rat01_s01.bin")]
+    assert entrypoint(argv + ["--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert entrypoint(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == out_csv.read_text()
+    assert len(printed.splitlines()) == 3  # hash line, header, one row
+
+
+def test_eval_on_a_session_with_other_channels_exits_1(tmp_path, capsys):
+    four = write_cfg(tmp_path, name="four.cfg", dataset__synthetic__n_channels="4")
+    fleet_dir, train_dir = tmp_path / "fleet", tmp_path / "trained"
+    assert entrypoint(["train", "--config", str(four), "--out", str(train_dir)]) == 0
+    assert entrypoint(["synth", "--config", str(write_cfg(tmp_path)), "--out", str(fleet_dir)]) == 0
+    capsys.readouterr()
+    argv = ["eval", str(train_dir / "rat01_s01.model"), str(fleet_dir / "rat01_s01.bin")]
+    assert entrypoint(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "has 8 channels" in err and "fit on 4" in err
+
+
+def test_train_exits_2_unless_one_session_is_named(tmp_path, capsys):
+    several = write_cfg(tmp_path, dataset__synthetic__sessions_per_rat="2")
+    assert entrypoint(["train", "--config", str(several), "--out", str(tmp_path / "a")]) == 2
+    assert "set train.session" in capsys.readouterr().err
+    unknown = write_cfg(tmp_path, dataset__synthetic__sessions_per_rat="2", train__session="rat09_s01")
+    assert entrypoint(["train", "--config", str(unknown), "--out", str(tmp_path / "b")]) == 2
+    assert "'rat09_s01' not found" in capsys.readouterr().err
+
+
 def test_experiment_baseline_outputs_and_input_hygiene(tmp_path):
     cfg = write_cfg(tmp_path, dataset__synthetic__sessions_per_rat="2")
     out = tmp_path / "exp"

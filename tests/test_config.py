@@ -1,5 +1,7 @@
 """Config parsing, typed resolution, and hash stability."""
 
+from dataclasses import fields
+
 import pytest
 
 from locodec.config import (
@@ -10,8 +12,11 @@ from locodec.config import (
     parse_config_text,
     resolve,
 )
+from locodec.decoders import DecoderSpec
 from locodec.errors import ConfigError
-from locodec.protocols import STRATEGIES
+from locodec.protocols import STRATEGIES, ExperimentPlan
+from locodec.synthetic import FleetSpec
+from locodec.trainer import TrainConfig
 
 GOOD = """
 # comment and blank lines are fine
@@ -50,6 +55,21 @@ def test_defaults_fill_every_key():
     assert cfg.plan.strategy == "single_80"
     assert cfg.decoder.family == "lstm_rnn"
     assert cfg.train.max_epochs == 60
+
+
+@pytest.mark.parametrize(
+    "attr,spec",
+    [
+        ("fleet", FleetSpec()),
+        ("decoder", DecoderSpec(family="lstm_rnn")),
+        ("train", TrainConfig()),
+        ("plan", ExperimentPlan(decoder=DecoderSpec(family="lstm_rnn"))),
+    ],
+)
+def test_an_empty_config_builds_the_default_specs(attr, spec):
+    built = getattr(resolve({}), attr)
+    for f in fields(spec):
+        assert getattr(built, f.name) == getattr(spec, f.name), f.name
 
 
 @pytest.mark.parametrize(

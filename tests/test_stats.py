@@ -324,6 +324,18 @@ def test_compare_variants_structure():
     assert pairwise[0].p_raw == pytest.approx(2.0 / 256.0, abs=1e-12)
 
 
+def test_compare_variants_tied_pair_is_degenerate():
+    same = {f"s{i}": 0.1 * i for i in range(4)}
+    scores = stats.PairedScores.from_mapping("r", {"a": same, "b": dict(same)})
+    friedman_row, pair = stats.compare_variants(scores)
+    assert friedman_row.method == "friedman"
+    assert pair.comparison == "a_vs_b"
+    assert pair.method == "wilcoxon_degenerate"
+    assert pair.p_raw == 1.0
+    assert pair.p_adjusted == 1.0
+    assert pair.n == 4
+
+
 def test_compare_variants_too_few_rows():
     scores = stats.PairedScores.from_mapping(
         "r", {"a": {"s1": 0.1, "s2": 0.2}, "b": {"s1": 0.3, "s2": 0.4}}
