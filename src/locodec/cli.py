@@ -14,7 +14,6 @@ import argparse
 import glob
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,8 +102,8 @@ def _gate_report_text(gate, config_hash: str | None, seed: int) -> str:
     return table_text(("session_id", "iqr", "threshold", "included"), rows, config_hash, seed)
 
 
-def _resolve_from_args(args) -> ResolvedRun:
-    overrides: dict[str, str] = {}
+def _resolve_from_args(args, overrides: dict[str, str] | None = None) -> ResolvedRun:
+    overrides = dict(overrides or {})
     if getattr(args, "out", None):
         overrides["run.out_dir"] = args.out
     if getattr(args, "jobs", None) is not None:
@@ -130,11 +129,12 @@ def _write_run_preamble(cfg: ResolvedRun, out_dir: Path) -> None:
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve_from_args(args)
+    # --seed also seeds the fleet, and config.resolved records it there
+    fleet_seed = {} if args.seed is None else {"dataset.synthetic.seed": str(args.seed)}
+    cfg = _resolve_from_args(args, fleet_seed)
     out_dir = Path(cfg.out_dir)
     fmt = args.format or "canonical_bin"
-    fleet = cfg.fleet if args.seed is None else replace(cfg.fleet, seed=args.seed)
-    sessions = generate_synthetic_fleet(fleet)
+    sessions = generate_synthetic_fleet(cfg.fleet)
     _write_run_preamble(cfg, out_dir)
     ext = ".csv" if fmt == "canonical_csv" else ".bin"
     for s in sessions:

@@ -2,7 +2,9 @@
 
 Config files are ``dotted.key = value`` lines (``#`` comments allowed).
 Every key is typed against a registry; unknown keys and duplicate keys are
-rejected so typos fail loudly. :func:`resolve` materializes all defaults
+rejected so typos fail loudly. The keys of the fleet, decoder, trainer and
+plan sections are the fields of their spec dataclasses, so their types and
+defaults have one source. :func:`resolve` materializes all defaults
 into a :class:`ResolvedRun`, and the fully-resolved canonical text (written
 next to every run's outputs) hashes to the config_hash embedded in output
 files.

@@ -1,8 +1,8 @@
 """Synthetic session fleets with known ground truth.
 
 Speed traces are rectified, smoothed Ornstein-Uhlenbeck paths; EEG channels
-are band-limited noise carriers whose amplitude (and optionally a linear
-leak or a time lead) encodes the latent speed, plus white sensor noise. The
+carry the latent speed directly, as the amplitude of a band-limited noise
+carrier, or a fixed time ahead, plus white sensor noise. The three
 encodings are chosen so that specific pipeline claims become checkable by
 construction:
 
@@ -11,8 +11,6 @@ construction:
 * ``am``        - channels are amplitude-modulated carriers; the mean of the
                   raw samples is uninformative, so linear readouts fail while
                   nonlinear families succeed.
-* ``am_linear_mix`` - amplitude modulation plus a weak linear leak, giving a
-                  graded difficulty ladder across model families.
 * ``lead``      - channels encode the latent ``lead_ms`` ahead of the speed
                   trace, so forward-shifted targets are easier for EEG
                   decoders than for speed-history extrapolation.
@@ -38,7 +36,7 @@ from scipy.signal import lfilter
 from .dsp import design_butterworth, filtfilt
 from .sessions import REGIONS, SIDES, Session
 
-ENCODINGS = ("linear", "am", "am_linear_mix", "lead")
+ENCODINGS = ("linear", "am", "lead")
 
 AM_FLOOR = 0.2  # carrier amplitude at zero speed, keeps the carrier visible at rest
 
@@ -54,13 +52,11 @@ class FleetSpec:
     signal_regions: tuple[str, ...] = REGIONS
     carrier_band: tuple[float, float] = (4.0, 8.0)
     noise_scale: float = 0.3
-    linear_mix: float = 0.35
     lead_ms: float = 0.0
     eight_hz_gain: float = 0.0
     speed_tau_s: float = 2.0
     speed_bias: float = 0.3
     speed_scale: float = 2.5
-    session_gain_jitter: float = 0.0
     scramble_channels: bool = False
     seed: int = 0
 
@@ -140,7 +136,6 @@ def _session_eeg(
     rng,
     u_eeg: np.ndarray,
     gains: np.ndarray,
-    leak_gains: np.ndarray,
     signal_mask: np.ndarray,
 ) -> np.ndarray:
     n = u_eeg.size
@@ -154,8 +149,6 @@ def _session_eeg(
             continue
         if spec.encoding == "am":
             sig = gains[c] * (AM_FLOOR + u_eeg) * carrier
-        elif spec.encoding == "am_linear_mix":
-            sig = gains[c] * (AM_FLOOR + u_eeg) * carrier + spec.linear_mix * leak_gains[c] * u_eeg
         else:
             # linear and lead encode the (possibly shifted) latent directly;
             # the carrier floor is part of the disturbance there, so it rides
@@ -177,14 +170,10 @@ def generate_synthetic_fleet(spec: FleetSpec) -> list[Session]:
     regions, sides = region_layout(spec.n_channels)
     signal_mask = np.array([r in spec.signal_regions for r in regions])
 
-    # One mapping for the fleet: per-channel encoding gains in [0.7, 1.3]
-    # with random sign for the linear leak, drawn before any rat stream.
+    # One mapping for the fleet: per-channel encoding gains in [0.7, 1.3],
+    # drawn from their own stream, apart from every rat's.
     map_ss, *rat_ss = np.random.SeedSequence(spec.seed).spawn(1 + spec.n_rats)
-    map_rng = np.random.default_rng(map_ss)
-    gains = map_rng.uniform(0.7, 1.3, size=spec.n_channels)
-    leak_gains = map_rng.uniform(0.7, 1.3, size=spec.n_channels) * map_rng.choice(
-        (-1.0, 1.0), size=spec.n_channels
-    )
+    gains = np.random.default_rng(map_ss).uniform(0.7, 1.3, size=spec.n_channels)
 
     n = spec.n_samples
     lead = spec.lead_samples
@@ -204,11 +193,8 @@ def generate_synthetic_fleet(spec: FleetSpec) -> list[Session]:
             u_full, _ = _rectified_ou(rng, n + lead, spec.sample_rate_hz, spec.speed_tau_s, spec.speed_bias)
             u_now = u_full[:n]
             u_eeg = u_full[lead:] if lead else u_now
-            scale = spec.speed_scale
-            if spec.session_gain_jitter > 0.0:
-                scale = scale * float(np.exp(spec.session_gain_jitter * rng.standard_normal()))
-            speed = scale * u_now
-            eeg = _session_eeg(spec, rng, u_eeg, gains, leak_gains, signal_mask)
+            speed = spec.speed_scale * u_now
+            eeg = _session_eeg(spec, rng, u_eeg, gains, signal_mask)
             eeg = signs[:, None] * eeg[perm, :]
             sessions.append(
                 Session(

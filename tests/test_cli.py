@@ -68,6 +68,18 @@ def test_synth_seed_flag_changes_the_fleet(tmp_path):
     np.testing.assert_array_equal(sb.eeg, sc.eeg)
 
 
+def test_synth_seed_round_trips_through_config_resolved(tmp_path):
+    cfg = write_cfg(tmp_path, dataset__synthetic__n_rats="2")
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(first), "--seed", "99"]) == 0
+    assert "dataset.synthetic.seed = 99" in (first / "config.resolved").read_text()
+    assert entrypoint(["synth", "--config", str(first / "config.resolved"), "--out", str(again)]) == 0
+    names = sorted(p.name for p in first.glob("*.bin"))
+    assert names == sorted(p.name for p in again.glob("*.bin")) and len(names) == 2
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes()
+
+
 @pytest.fixture()
 def ten_session_dir(tmp_path):
     cfg = write_cfg(

@@ -220,5 +220,5 @@ def test_spec_validation_rejects(kw):
 
 
 def test_encodings_registry():
-    assert ENCODINGS == ("linear", "am", "am_linear_mix", "lead")
+    assert ENCODINGS == ("linear", "am", "lead")
     assert 0.0 < AM_FLOOR < 1.0
