@@ -8,10 +8,11 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- eleven experiments, each followed by ``report``: ``baseline`` (ffnn,
+- twelve experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
-  quadratic fit has a row), ``finetune_cross_subject``, a gated
+  quadratic fit has a row), ``finetune_cross_subject``,
+  ``zeroshot_cross_session`` (the source normalizer reused), a gated
   ``baseline``, a ``transformer_encoder`` baseline, and three fine-tunes of
   families with a frozen body: ``lstm_rnn`` with
   ``finetune_cross_subject``, and ``ffnn`` and ``transformer_encoder``
@@ -69,6 +70,7 @@ EXPERIMENTS = {
     "bands": {"experiment.kind": "bands"},
     "offsets": {"experiment.kind": "offsets", "experiment.offsets_ms": "-100,0,100"},
     "finetune": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject"},
+    "zeroshot": {"experiment.kind": "transfer", "plan.strategy": "zeroshot_cross_session"},
     "gated": {"dataset.apply_gate": "true"},
     "transformer": {"decoder.family": "transformer_encoder", "decoder.embed_dim": "8", "decoder.n_heads": "2"},
     "finetune_lstm": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject", "decoder.family": "lstm_rnn"},

@@ -110,11 +110,8 @@ def _resolve_from_args(args, overrides: dict[str, str] | None = None) -> Resolve
         overrides["run.jobs"] = str(args.jobs)
     if getattr(args, "band", None):
         overrides["plan.band"] = args.band
-    seed = getattr(args, "seed", None)
-    if seed is None and os.environ.get("LOCODEC_SEED"):
-        seed = os.environ["LOCODEC_SEED"]
-    if seed is not None:
-        overrides["run.seed"] = str(seed)
+    if getattr(args, "seed", None) is not None:
+        overrides["run.seed"] = str(args.seed)
     if args.config:
         return load_config(args.config, overrides)
     return resolve({}, overrides)
@@ -333,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="dotted-key config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed (overrides config and LOCODEC_SEED)")
+        p.add_argument("--seed", type=int, help="master seed (overrides the config)")
 
     p = sub.add_parser("synth", help="generate a synthetic session fleet")
     add_common(p)

@@ -16,17 +16,15 @@ predict surface.
 
 Each trainable family's forward is its head applied to its body. The body
 maps a window stack to one row per window: the flat window (``linear``,
-whose body has no parameters), the last hidden layer (``ffnn``, dropout
-included), the last LSTM state, or the pooled transformer tokens. The head
-is the ``head.*`` dense stack; for the sequence families it first applies
-dropout to the body rows. Parameters prefixed ``head.`` are the only ones
-updated when fine-tuning with a frozen body. A frozen body is run once per
-window stack by :meth:`Decoder.body_rows`, as at inference, and
-:meth:`Decoder.loss_batch` and :meth:`Decoder.predict_batch` take the
-resulting :class:`BodyRows` in place of the stack and run only the head; a
-frozen ``ffnn`` body therefore applies no dropout.
+whose body has no parameters), the last hidden layer (``ffnn``), the last
+LSTM state, or the pooled transformer tokens. The head is the ``head.*``
+dense stack. Parameters prefixed ``head.`` are the only ones updated when
+fine-tuning with a frozen body. A frozen body is run once per window stack
+by :meth:`Decoder.body_rows`, and :meth:`Decoder.loss_batch` and
+:meth:`Decoder.predict_batch` take the resulting :class:`BodyRows` in place
+of the stack and run only the head.
 
-A model file (version 2) has one layout for every family: a JSON header
+A model file (version 3) has one layout for every family: a JSON header
 ``{spec, meta}``, then one list of named arrays, the decoder's followed by
 ``extra.<name>`` arrays such as normalizer statistics. A trained family
 stores its parameters; the forest stores ``tree<i>.<field>`` for the node
@@ -65,7 +63,8 @@ RECURRENT_FAMILIES = ("lstm_rnn", "speed_rnn")
 FLAT_FAMILIES = ("linear", "ffnn", "random_forest")
 
 MODEL_MAGIC = b"LCMD1"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
+CONV_KERNEL = 3  # width of the transformer's token convolution
 
 
 @dataclass(frozen=True)
@@ -78,12 +77,8 @@ class DecoderSpec:
     head_hidden: tuple[int, ...] = (32,)
     embed_dim: int = 64
     n_heads: int = 4
-    n_blocks: int = 1
-    conv_kernel: int = 3
-    dropout: float = 0.0
     n_trees: int = 100
     max_depth: int | None = 12
-    use_positional: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -98,10 +93,8 @@ class DecoderSpec:
                 raise ValueError(
                     f"embed_dim {self.embed_dim} must divide into {self.n_heads} heads"
                 )
-            if not 1 <= self.conv_kernel <= self.window_len:
-                raise ValueError(f"conv_kernel must be in [1, {self.window_len}]")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+            if self.window_len < CONV_KERNEL:
+                raise ValueError(f"window_len must be at least the conv width {CONV_KERNEL}")
 
     @property
     def flat_dim(self) -> int:
@@ -145,15 +138,11 @@ def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
         e = spec.embed_dim
         params["body.embed_w"] = _glorot(rng, (spec.n_channels, e))
         params["body.embed_b"] = np.zeros(e)
-        for blk in range(spec.n_blocks):
-            for proj in ("wq", "wk", "wv", "wo"):
-                params[f"body.blk{blk}.{proj}"] = _glorot(rng, (e, e))
-                params[f"body.blk{blk}.{proj[1]}b"] = np.zeros(e)
-        params["body.conv_w"] = rng.uniform(
-            -math.sqrt(6.0 / (spec.conv_kernel * e + e)),
-            math.sqrt(6.0 / (spec.conv_kernel * e + e)),
-            size=(spec.conv_kernel, e, e),
-        )
+        for proj in ("wq", "wk", "wv", "wo"):
+            params[f"body.blk0.{proj}"] = _glorot(rng, (e, e))
+            params[f"body.blk0.{proj[1]}b"] = np.zeros(e)
+        limit = math.sqrt(6.0 / (CONV_KERNEL * e + e))
+        params["body.conv_w"] = rng.uniform(-limit, limit, size=(CONV_KERNEL, e, e))
         params["body.conv_b"] = np.zeros(e)
         for name, bname, din, dout in _mlp_param_names("head", e, spec.head_hidden):
             params[name] = _glorot(rng, (din, dout))
@@ -170,19 +159,12 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def _dropout(t: ad.Tensor, rate: float, rng) -> ad.Tensor:
-    if rng is None or rate <= 0.0:
-        return t
-    mask = (rng.random(t.data.shape) >= rate) / (1.0 - rate)
-    return ad.mul(t, ad.constant(mask))
-
-
-def _mlp_head(h: ad.Tensor, params, prefix: str, hidden: tuple[int, ...], rate, rng) -> ad.Tensor:
+def _mlp_head(h: ad.Tensor, params, prefix: str, hidden: tuple[int, ...]) -> ad.Tensor:
     n_layers = len(hidden) + 1
     for i in range(n_layers):
         h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
         if i < n_layers - 1:
-            h = _dropout(ad.relu(h), rate, rng)
+            h = ad.relu(h)
     return h
 
 
@@ -288,7 +270,7 @@ class Decoder:
 
     # -- forward passes --------------------------------------------------------
 
-    def _body(self, p, x: np.ndarray, rng) -> ad.Tensor:
+    def _body(self, p, x: np.ndarray) -> ad.Tensor:
         """The family's body output, one row per window."""
         spec = self.spec
         if spec.family == "linear":
@@ -296,7 +278,7 @@ class Decoder:
         if spec.family == "ffnn":
             h = ad.constant(x)
             for i in range(len(spec.ffnn_hidden)):
-                h = _dropout(ad.relu(ad.add(ad.matmul(h, p[f"body.w{i}"]), p[f"body.b{i}"])), spec.dropout, rng)
+                h = ad.relu(ad.add(ad.matmul(h, p[f"body.w{i}"]), p[f"body.b{i}"]))
             return h
         if spec.family in RECURRENT_FAMILIES:
             return ad.lstm_sequence(x, p["body.wx"], p["body.wh"], p["body.b"])
@@ -309,54 +291,45 @@ class Decoder:
         e = spec.embed_dim
         dh = e // spec.n_heads
         tok = ad.add(ad.matmul(ad.constant(x3d), p["body.embed_w"]), p["body.embed_b"])
-        if spec.use_positional:
-            tok = ad.add(tok, ad.constant(positional_encoding(x3d.shape[1], e)))
-        for blk in range(spec.n_blocks):
-            q = ad.add(ad.matmul(tok, p[f"body.blk{blk}.wq"]), p[f"body.blk{blk}.qb"])
-            k = ad.add(ad.matmul(tok, p[f"body.blk{blk}.wk"]), p[f"body.blk{blk}.kb"])
-            v = ad.add(ad.matmul(tok, p[f"body.blk{blk}.wv"]), p[f"body.blk{blk}.vb"])
-            heads = []
-            for hi in range(spec.n_heads):
-                lo, hi_end = hi * dh, (hi + 1) * dh
-                qh = ad.narrow(q, 2, lo, hi_end)
-                kh = ad.narrow(k, 2, lo, hi_end)
-                vh = ad.narrow(v, 2, lo, hi_end)
-                scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-                heads.append(ad.matmul(ad.softmax(scores, axis=2), vh))
-            tok = ad.add(ad.matmul(ad.concat(heads, axis=2), p[f"body.blk{blk}.wo"]), p[f"body.blk{blk}.ob"])
+        tok = ad.add(tok, ad.constant(positional_encoding(x3d.shape[1], e)))
+        q = ad.add(ad.matmul(tok, p["body.blk0.wq"]), p["body.blk0.qb"])
+        k = ad.add(ad.matmul(tok, p["body.blk0.wk"]), p["body.blk0.kb"])
+        v = ad.add(ad.matmul(tok, p["body.blk0.wv"]), p["body.blk0.vb"])
+        heads = []
+        for hi in range(spec.n_heads):
+            lo, hi_end = hi * dh, (hi + 1) * dh
+            qh = ad.narrow(q, 2, lo, hi_end)
+            kh = ad.narrow(k, 2, lo, hi_end)
+            vh = ad.narrow(v, 2, lo, hi_end)
+            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
+            heads.append(ad.matmul(ad.softmax(scores, axis=2), vh))
+        tok = ad.add(ad.matmul(ad.concat(heads, axis=2), p["body.blk0.wo"]), p["body.blk0.ob"])
         z = ad.relu(ad.conv1d(tok, p["body.conv_w"], p["body.conv_b"]))
         return ad.mean(z, axis=1)
 
-    def _head(self, p, h: ad.Tensor, rng) -> ad.Tensor:
-        """The ``head.*`` dense stack on body rows; the sequence families
-        first apply dropout to those rows."""
-        spec = self.spec
-        if spec.family in FLAT_FAMILIES:
-            return _mlp_head(h, p, "head", (), 0.0, None)
-        return _mlp_head(_dropout(h, spec.dropout, rng), p, "head", spec.head_hidden, spec.dropout, rng)
-
-    def _forward(self, params: dict[str, ad.Tensor], x, rng=None) -> ad.Tensor:
+    def _forward(self, params: dict[str, ad.Tensor], x) -> ad.Tensor:
         """The family's batch output (n, 1) from the parameter tensors
-        ``params``: the head applied to the body, or to ``x`` itself when it
-        holds body rows. A graph back to the parameters when they need a
-        gradient, a bare tensor when they are constants."""
-        h = ad.constant(x.rows) if isinstance(x, BodyRows) else self._body(params, x, rng)
-        return self._head(params, h, rng)
+        ``params``: the ``head.*`` dense stack applied to the body, or to
+        ``x`` itself when it holds body rows. A graph back to the parameters
+        when they need a gradient, a bare tensor when they are constants."""
+        h = ad.constant(x.rows) if isinstance(x, BodyRows) else self._body(params, x)
+        hidden = () if self.spec.family in FLAT_FAMILIES else self.spec.head_hidden
+        return _mlp_head(h, params, "head", hidden)
 
     def _constants(self) -> dict[str, ad.Tensor]:
         return {n: ad.constant(t.data) for n, t in self.params.items()}
 
     def body_rows(self, x: np.ndarray) -> "BodyRows":
         """The body's output for a window stack, run once on constant views
-        of the parameters as at inference (so no ``ffnn`` body dropout).
-        :meth:`loss_batch` and :meth:`predict_batch` take the result in
-        place of the stack and run only the head."""
+        of the parameters as at inference. :meth:`loss_batch` and
+        :meth:`predict_batch` take the result in place of the stack and run
+        only the head."""
         if isinstance(x, BodyRows):
             raise ShapeError("body_rows takes a window stack, not body rows")
-        return BodyRows(self._body(self._constants(), _window_input(self.spec, x), None).data)
+        return BodyRows(self._body(self._constants(), _window_input(self.spec, x)).data)
 
-    def loss_batch(self, x, y: np.ndarray, train_rng=None) -> ad.Tensor:
-        out = self._forward(self.params, _window_input(self.spec, x), rng=train_rng)
+    def loss_batch(self, x, y: np.ndarray) -> ad.Tensor:
+        out = self._forward(self.params, _window_input(self.spec, x))
         return ad.mse(out, ad.constant(np.asarray(y, dtype=np.float64).reshape(-1, 1)))
 
     def predict_batch(self, x) -> np.ndarray:

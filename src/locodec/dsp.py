@@ -23,29 +23,21 @@ SPECTRA_FMAX_HZ = 45.0
 
 @dataclass(frozen=True)
 class BandSpec:
-    """A named frequency band. ``low_hz``/``high_hz`` of None mark open edges;
-    both None is the identity (no filtering)."""
+    """A named frequency band. A ``high_hz`` of None marks an open upper edge
+    (a highpass); both None is the identity (no filtering)."""
 
     name: str
     low_hz: float | None
     high_hz: float | None
 
     def __post_init__(self):
+        if self.low_hz is None and self.high_hz is not None:
+            raise FilterDesignError(f"band {self.name}: an upper edge needs a lower edge")
         if self.low_hz is not None and self.high_hz is not None:
             if not (0.0 < self.low_hz < self.high_hz):
                 raise FilterDesignError(
                     f"band {self.name}: need 0 < low < high, got ({self.low_hz}, {self.high_hz})"
                 )
-
-    @property
-    def kind(self) -> str:
-        if self.low_hz is None and self.high_hz is None:
-            return "identity"
-        if self.low_hz is None:
-            return "lowpass"
-        if self.high_hz is None:
-            return "highpass"
-        return "bandpass"
 
 
 CANONICAL_BANDS: tuple[BandSpec, ...] = (
@@ -97,12 +89,10 @@ def design_butterworth(order: int, kind: str, edges_hz, fs_hz: float) -> np.ndar
 
 def band_sos(bspec: BandSpec, fs_hz: float) -> np.ndarray | None:
     """Sections for a canonical band; None for the identity band."""
-    if bspec.kind == "identity":
+    if bspec.low_hz is None:
         return None
-    if bspec.kind == "highpass":
+    if bspec.high_hz is None:
         return design_butterworth(4, "highpass", bspec.low_hz, fs_hz)
-    if bspec.kind == "lowpass":
-        return design_butterworth(4, "lowpass", bspec.high_hz, fs_hz)
     return design_butterworth(4, "bandpass", (bspec.low_hz, bspec.high_hz), fs_hz)
 
 

@@ -77,8 +77,6 @@ class ExperimentPlan:
     region_set: tuple[str, ...] = ()
     band: str = "fullband"
     offset_ms: int = 0
-    refit_normalizer: bool = False  # zero-shot: refit stats on target first-10%
-    refresh_normalizer: bool = True  # fine-tune: refresh stats on target first-10%
     clip_nonnegative: bool = False
     master_seed: int = 0
 
@@ -425,18 +423,19 @@ def _transfer_unit(
     source_id: str, decoder: Decoder, source_norm: Normalizer, target: Session, plan: ExperimentPlan
 ) -> SingleRunOutput:
     """One (source, target) pair: the source model scored on the target's
-    test segment, as is or after head-only fine-tuning on its first 10%.
-    Either may first refit the normalizer on that first 10%."""
+    test segment, either as is under the source normalizer, or after
+    refitting the normalizer and fine-tuning the head on the target's first
+    10%."""
     ranges = strategy_ranges(plan.strategy, target.n_samples)
-    head = range(0, int(np.floor(target.n_samples * 0.1)))
-    if plan.strategy.startswith("finetune"):
-        seed = derive_seed(plan.master_seed, f"{source_id}->{target.id}", plan.cell_id, "finetune")
-        cfg = replace(plan.train, freeze_body=True, shuffle_seed=seed)
-        refit, fit = plan.refresh_normalizer, lambda spec, *data: fine_tune(decoder, *data, cfg)
-    else:
+    if not plan.strategy.startswith("finetune"):
         seed = derive_seed(plan.master_seed, target.id, plan.cell_id, "eval")
-        refit, fit = plan.refit_normalizer, decoder
-    return _run_unit(target, plan, ranges, head if refit else source_norm, fit, seed, source_id)
+        return _run_unit(target, plan, ranges, source_norm, decoder, seed, source_id)
+    seed = derive_seed(plan.master_seed, f"{source_id}->{target.id}", plan.cell_id, "finetune")
+    cfg = replace(plan.train, freeze_body=True, shuffle_seed=seed)
+    head = range(0, int(np.floor(target.n_samples * 0.1)))
+    return _run_unit(
+        target, plan, ranges, head, lambda spec, *data: fine_tune(decoder, *data, cfg), seed, source_id
+    )
 
 
 def _aggregate_per_target(pair_results: list[EvalResult], plan: ExperimentPlan) -> list[EvalResult]:
@@ -609,7 +608,6 @@ def _speed_reference(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
         window_len=WINDOW_LEN,
         lstm_hidden=plan.decoder.lstm_hidden,
         head_hidden=plan.decoder.head_hidden,
-        dropout=plan.decoder.dropout,
     )
     speed_plan = replace(plan, decoder=spec, region_set=())
     return _train_unit(session, speed_plan, plan.cell_id, _speed_source)

@@ -5,7 +5,9 @@ A session is an immutable pairing of a multichannel EEG matrix (channels x
 time) with a speed trace sampled at the same rate (canonically 100 Hz), plus
 channel region/side labels and provenance metadata. Two interchangeable
 on-disk forms are supported: a CSV with a plain-text manifest sidecar, and a
-compact binary with the manifest embedded.
+compact binary with the manifest embedded. Ingest reads only 100 Hz files,
+the rate at which a window spans 200 ms; :func:`preprocess_raw` decimates
+raw recordings to it.
 """
 
 from __future__ import annotations
@@ -190,6 +192,12 @@ def _session_from_arrays(
         raise FormatError(
             f"manifest session.sample_rate_hz is not a number: "
             f"{manifest['session.sample_rate_hz']!r}"
+        )
+    if rate != CANONICAL_RATE_HZ:
+        # windows are WINDOW_LEN samples, which is 200 ms only at this rate
+        raise UnsupportedRateError(
+            f"session {manifest.get('session.id', fallback_id)} is sampled at {rate} Hz; "
+            f"sessions must be at {CANONICAL_RATE_HZ} Hz (decimate with preprocess_raw)"
         )
     return Session(
         id=manifest.get("session.id", fallback_id),

@@ -34,11 +34,12 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .dsp import design_butterworth, filtfilt
-from .sessions import REGIONS, SIDES, Session
+from .sessions import CANONICAL_RATE_HZ, REGIONS, SIDES, Session
 
 ENCODINGS = ("linear", "am", "lead")
 
 AM_FLOOR = 0.2  # carrier amplitude at zero speed, keeps the carrier visible at rest
+SPEED_SCALE = 2.5  # speed units per unit of the latent drive
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class FleetSpec:
     sessions_per_rat: int = 2
     n_channels: int = 32
     duration_s: float = 60.0
-    sample_rate_hz: float = 100.0
     encoding: str = "linear"
     signal_regions: tuple[str, ...] = REGIONS
     carrier_band: tuple[float, float] = (4.0, 8.0)
@@ -56,7 +56,6 @@ class FleetSpec:
     eight_hz_gain: float = 0.0
     speed_tau_s: float = 2.0
     speed_bias: float = 0.3
-    speed_scale: float = 2.5
     scramble_channels: bool = False
     seed: int = 0
 
@@ -76,18 +75,18 @@ class FleetSpec:
             raise ValueError("duration too short for a single window")
         if self.lead_ms and self.encoding != "lead":
             raise ValueError("lead_ms is only meaningful with encoding='lead'")
-        if self.speed_tau_s <= 0 or self.speed_scale <= 0:
-            raise ValueError("speed_tau_s and speed_scale must be positive")
+        if self.speed_tau_s <= 0:
+            raise ValueError("speed_tau_s must be positive")
         if self.noise_scale < 0 or self.eight_hz_gain < 0:
             raise ValueError("noise_scale and eight_hz_gain must be non-negative")
 
     @property
     def n_samples(self) -> int:
-        return int(round(self.duration_s * self.sample_rate_hz))
+        return int(round(self.duration_s * CANONICAL_RATE_HZ))
 
     @property
     def lead_samples(self) -> int:
-        k = self.lead_ms * self.sample_rate_hz / 1000.0
+        k = self.lead_ms * CANONICAL_RATE_HZ / 1000.0
         if abs(k - round(k)) > 1e-9:
             raise ValueError(f"lead_ms {self.lead_ms} is not a whole number of samples")
         return int(round(k))
@@ -143,7 +142,7 @@ def _session_eeg(
     eeg = np.empty((c_count, n))
     for c in range(c_count):
         noise = spec.noise_scale * rng.standard_normal(n)
-        carrier = _carrier(rng, n, spec.sample_rate_hz, spec.carrier_band)
+        carrier = _carrier(rng, n, CANONICAL_RATE_HZ, spec.carrier_band)
         if not signal_mask[c]:
             eeg[c] = AM_FLOOR * carrier + noise
             continue
@@ -155,9 +154,7 @@ def _session_eeg(
             # at the noise level and vanishes in the noise-free limit.
             sig = gains[c] * u_eeg + AM_FLOOR * spec.noise_scale * carrier
         if spec.eight_hz_gain > 0.0:
-            sig = sig + spec.eight_hz_gain * u_eeg * _carrier(
-                rng, n, spec.sample_rate_hz, (7.5, 8.5)
-            )
+            sig = sig + spec.eight_hz_gain * u_eeg * _carrier(rng, n, CANONICAL_RATE_HZ, (7.5, 8.5))
         eeg[c] = sig + noise
     return eeg
 
@@ -190,17 +187,17 @@ def generate_synthetic_fleet(spec: FleetSpec) -> list[Session]:
         rat_id = f"rat{r + 1:02d}"
         for k, sss in enumerate(sess_ss):
             rng = np.random.default_rng(sss)
-            u_full, _ = _rectified_ou(rng, n + lead, spec.sample_rate_hz, spec.speed_tau_s, spec.speed_bias)
+            u_full, _ = _rectified_ou(rng, n + lead, CANONICAL_RATE_HZ, spec.speed_tau_s, spec.speed_bias)
             u_now = u_full[:n]
             u_eeg = u_full[lead:] if lead else u_now
-            speed = spec.speed_scale * u_now
+            speed = SPEED_SCALE * u_now
             eeg = _session_eeg(spec, rng, u_eeg, gains, signal_mask)
             eeg = signs[:, None] * eeg[perm, :]
             sessions.append(
                 Session(
                     id=f"{rat_id}_s{k + 1:02d}",
                     rat_id=rat_id,
-                    sample_rate_hz=spec.sample_rate_hz,
+                    sample_rate_hz=CANONICAL_RATE_HZ,
                     eeg=eeg,
                     speed=speed,
                     region_map=regions,

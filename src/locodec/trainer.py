@@ -1,17 +1,16 @@
 """Minibatch training loop with early stopping.
 
-All gradient families share one loop: shuffled minibatches, Adam or plain
-SGD, validation MSE after every epoch, patience-based early stopping with a
-strict improvement rule, and restoration of the best checkpoint seen
-(including the initial parameters, which count as epoch 0). The returned
+All gradient families share one loop: shuffled minibatches, Adam, validation
+MSE after every epoch, patience-based early stopping with a strict
+improvement rule, and restoration of the best checkpoint seen (including
+the initial parameters, which count as epoch 0). The returned
 decoder is quantized to the float32 storage grid so that a model written to
 disk predicts bitwise identically after reload.
 
 With ``freeze_body`` only the head (the ``head.*`` parameters) trains. The
 body, which maps each window to one row of features, does not change, so
 it runs once on the fit stack and once on the validation stack, and the
-loop trains the head on those body rows. A frozen ``ffnn`` body runs as at
-inference, without its dropout.
+loop trains the head on those body rows.
 
 Training raises :class:`DivergenceError` the moment a batch or validation
 loss goes non-finite; a half-trained decoder is never returned.
@@ -28,7 +27,10 @@ from . import autodiff as ad
 from .errors import DivergenceError
 from .decoders import Decoder
 
-OPTIMIZERS = ("adam", "sgd")
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,10 +38,6 @@ class TrainConfig:
     max_epochs: int = 60
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 5
     freeze_body: bool = False
     shuffle_seed: int = 0
@@ -51,12 +49,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("adam betas must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -89,33 +83,23 @@ class TrainReport:
 
 
 class _Adam:
-    def __init__(self, params: list[ad.Tensor], cfg: TrainConfig):
-        self.cfg = cfg
+    def __init__(self, params: list[ad.Tensor], learning_rate: float):
+        self.learning_rate = learning_rate
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
         self.t = 0
 
     def step(self, params: list[ad.Tensor]) -> None:
-        cfg = self.cfg
         self.t += 1
-        b1t = 1.0 - cfg.beta1**self.t
-        b2t = 1.0 - cfg.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         for i, p in enumerate(params):
             g = p.grad
-            self.m[i] = cfg.beta1 * self.m[i] + (1.0 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1.0 - cfg.beta2) * g * g
-            p.data = p.data - cfg.learning_rate * (self.m[i] / b1t) / (
-                np.sqrt(self.v[i] / b2t) + cfg.adam_eps
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            p.data = p.data - self.learning_rate * (self.m[i] / b1t) / (
+                np.sqrt(self.v[i] / b2t) + ADAM_EPS
             )
-
-
-class _Sgd:
-    def __init__(self, params: list[ad.Tensor], cfg: TrainConfig):
-        self.cfg = cfg
-
-    def step(self, params: list[ad.Tensor]) -> None:
-        for p in params:
-            p.data = p.data - self.cfg.learning_rate * p.grad
 
 
 def _val_loss(decoder: Decoder, x_val: np.ndarray, y_val: np.ndarray) -> float:
@@ -152,7 +136,7 @@ def train(
     if not trainable:
         raise ValueError("no trainable parameters selected")
 
-    opt = _Adam(trainable, config) if config.optimizer == "adam" else _Sgd(trainable, config)
+    opt = _Adam(trainable, config.learning_rate)
     rng = np.random.default_rng(config.shuffle_seed)
     n = len(x_train)
     have_val = len(x_val) > 0
@@ -172,8 +156,7 @@ def train(
         total = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            drop_rng = rng if work.spec.dropout > 0.0 else None
-            loss = work.loss_batch(x_train[idx], y_train[idx], train_rng=drop_rng)
+            loss = work.loss_batch(x_train[idx], y_train[idx])
             if not np.isfinite(loss.data):
                 raise DivergenceError(epoch, config.learning_rate)
             ad.backward(loss, params=trainable)

@@ -5,12 +5,14 @@ epochs) so the whole file runs in seconds; the full-scale pipeline runs
 live in the acceptance suite.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
 from locodec.protocols import EvalResult, results_to_csv_text
-from locodec.sessions import ingest_session
+from locodec.sessions import ingest_session, write_session
 
 BASE_CFG = {
     "run.seed": "5",
@@ -122,6 +124,24 @@ def test_ingest_malformed_input_exits_2(tmp_path, capsys):
     bad.write_text("not,a,session\n1,2,3\n")
     assert entrypoint(["ingest", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_a_session_at_another_rate_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dataset__synthetic__n_channels="4")
+    fleet_dir, train_dir = tmp_path / "fleet", tmp_path / "trained"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
+    assert entrypoint(["train", "--config", str(cfg), "--out", str(train_dir)]) == 0
+    # the same samples, declared at 200 Hz, would make every window 100 ms
+    session = ingest_session(fleet_dir / "rat01_s01.bin")
+    fast = fleet_dir / "fast.bin"
+    write_session(dataclasses.replace(session, sample_rate_hz=200.0), fast)
+    capsys.readouterr()
+    assert entrypoint(["ingest", str(fast), "--out", str(tmp_path / "ingested")]) == 2
+    disk = write_cfg(tmp_path, name="disk.cfg", dataset__synthetic="false", dataset__paths=str(fast))
+    assert entrypoint(["experiment", "--config", str(disk), "--out", str(tmp_path / "exp")]) == 2
+    assert entrypoint(["eval", str(train_dir / "rat01_s01.model"), str(fast)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("preprocess_raw") == 3
 
 
 def _train_then_eval_rows(tmp_path, **overrides):
@@ -351,14 +371,6 @@ def test_report_embeds_the_source_config_hash(tmp_path):
     src_head = (exp / "results.csv").read_text().splitlines()[0]
     rep_head = (rep / "medians.csv").read_text().splitlines()[0]
     assert rep_head == src_head
-
-
-def test_env_seed_override(tmp_path, monkeypatch):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "fleet"
-    monkeypatch.setenv("LOCODEC_SEED", "31")
-    assert entrypoint(["synth", "--config", str(cfg), "--out", str(out)]) == 0
-    assert "run.seed = 31" in (out / "config.resolved").read_text()
 
 
 def test_missing_model_file_exits_2(tmp_path, capsys):

@@ -89,6 +89,33 @@ def test_malformed_lines_fail_loudly(line, complaint):
         resolve(parse_config_text(line))
 
 
+# settings that became constants: the canonical rate, the speed scale, the
+# one-block positional transformer, no dropout, Adam's defaults, and the
+# normalizer rule of each transfer strategy
+REMOVED_KEYS = (
+    "dataset.synthetic.sample_rate_hz",
+    "dataset.synthetic.speed_scale",
+    "decoder.n_blocks",
+    "decoder.conv_kernel",
+    "decoder.use_positional",
+    "decoder.dropout",
+    "train.optimizer",
+    "train.beta1",
+    "train.beta2",
+    "train.adam_eps",
+    "plan.refit_normalizer",
+    "plan.refresh_normalizer",
+)
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_settings_are_unknown_keys(key):
+    with pytest.raises(ConfigError, match="unknown config key"):
+        parse_config_text(f"{key} = 1\n")
+    with pytest.raises(ConfigError, match="override"):
+        resolve({}, overrides={key: "1"})
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config_text("run.seed = 1\nrun.seed = 2\n")

@@ -47,6 +47,11 @@ def test_edge_beyond_nyquist_rejected():
         dsp.design_butterworth(2, "lowpass", 60.0, 100.0)
 
 
+def test_band_with_only_an_upper_edge_is_rejected():
+    with pytest.raises(FilterDesignError, match="lower edge"):
+        dsp.BandSpec("low", None, 4.0)
+
+
 def test_filters_are_stable():
     for bspec in dsp.CANONICAL_BANDS:
         sos = dsp.band_sos(bspec, 100.0)

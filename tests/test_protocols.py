@@ -205,33 +205,26 @@ def test_leakage_detects_eval_escaping_test_range():
 
 
 @pytest.mark.parametrize(
-    "strategy, refit, offset_ms",
+    "strategy, fits_normalizer, offset_ms",
     [
         ("single_80", True, 0),
         ("single_80", True, -1000),
         ("single_10", True, 0),
-        ("zeroshot_cross_session", True, 0),
         ("zeroshot_cross_session", False, 0),
         ("finetune_cross_session", True, 0),
         ("finetune_cross_session", True, -1000),
     ],
 )
-def test_hygiene_records_the_normalizer_fit_range(strategy, refit, offset_ms):
+def test_hygiene_records_the_normalizer_fit_range(strategy, fits_normalizer, offset_ms):
     # A normalizer fit on the session is a fitted quantity: its range must
-    # be audited like training inputs. A reused source normalizer fits
-    # nothing on the target, so a zero-shot unit then records no inputs.
+    # be audited like training inputs. Single-session and fine-tune units
+    # fit one; a zero-shot unit reuses the source normalizer, fits nothing
+    # on the target, and so records no inputs.
     # At a negative offset the first inputs of the fit range feed no
     # window (their targets fall before sample 0), so only the normalizer
     # range itself can cover them.
     sessions = tiny_fleet(n_rats=1, sessions_per_rat=2, duration_s=30.0)
-    plan = ExperimentPlan(
-        decoder=LIN,
-        train=FAST,
-        strategy=strategy,
-        refit_normalizer=refit,
-        refresh_normalizer=refit,
-        offset_ms=offset_ms,
-    )
+    plan = ExperimentPlan(decoder=LIN, train=FAST, strategy=strategy, offset_ms=offset_ms)
     n = sessions[0].n_samples
     if strategy.startswith("single"):
         records = [run_single_session(sessions[0], plan).hygiene]
@@ -241,7 +234,7 @@ def test_hygiene_records_the_normalizer_fit_range(strategy, refit, offset_ms):
         norm_range = strategy_ranges("single_10", n)[0]
     assert len(records) >= 1
     for rec in records:
-        if refit:
+        if fits_normalizer:
             assert np.isin(np.arange(norm_range.start, norm_range.stop), rec.fit_input_indices).all()
         else:
             assert rec.fit_input_indices.size == 0

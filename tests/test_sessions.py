@@ -1,5 +1,7 @@
 """Session model, file formats, gate, splits, normalization, windowing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,16 @@ def test_bin_bad_magic_is_format_error(tmp_path):
     path.write_bytes(b"NOTME" + b"\x00" * 40)
     with pytest.raises(FormatError):
         ss.ingest_session(path, fmt="canonical_bin")
+
+
+@pytest.mark.parametrize("fmt, ext", [("canonical_bin", ".bin"), ("canonical_csv", ".csv")])
+def test_ingest_rejects_a_noncanonical_rate(tmp_path, fmt, ext):
+    # a window of WINDOW_LEN samples is 200 ms only at the canonical rate
+    s = dataclasses.replace(make_session(n_channels=4, n_samples=300, seed=8), sample_rate_hz=200.0)
+    path = tmp_path / f"fast{ext}"
+    ss.write_session(s, path, fmt=fmt)
+    with pytest.raises(UnsupportedRateError, match="preprocess_raw"):
+        ss.ingest_session(path)
 
 
 # ---------------------------------------------------------------------------

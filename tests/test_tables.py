@@ -135,7 +135,7 @@ EXPECTED = {
         "linear,0.5800000000000003,0.0002999999999999999,-7.50000000000002e-06\n"
     ),
     "results_pairs": (
-        "# config_hash=9e9db3d28a6740f9 seed=5\n"
+        "# config_hash=ae91d94c1857b64a seed=5\n"
         "source_id,target_id,r,r2,n_test_windows\n"
         "rat01_s01,rat02_s01,0.9089549585426965,-1.0081358939350182,181\n"
         "rat02_s01,rat01_s01,0.8517913417828886,-4.994383361920928,181\n"

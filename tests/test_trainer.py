@@ -120,7 +120,7 @@ def _per_batch_fine_tune(decoder, x, y, x_val, y_val, cfg):
     for name, t in work.param_items():
         t.requires_grad = not name.startswith("body.")
     head = [t for t in work.param_list() if t.requires_grad]
-    opt = trainer._Adam(head, cfg)
+    opt = trainer._Adam(head, cfg.learning_rate)
     rng = np.random.default_rng(cfg.shuffle_seed)
 
     def val_loss():
@@ -131,7 +131,7 @@ def _per_batch_fine_tune(decoder, x, y, x_val, y_val, cfg):
         perm = rng.permutation(len(x))
         for start in range(0, len(x), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            loss = work.loss_batch(x[idx], y[idx], train_rng=rng if work.spec.dropout > 0.0 else None)
+            loss = work.loss_batch(x[idx], y[idx])
             ad.backward(loss, head)
             opt.step(head)
             ad.zero_grads(head)
@@ -158,12 +158,10 @@ FROZEN_SPECS = {
 }
 
 
-@pytest.mark.parametrize(
-    "family, dropout",
-    [(f, 0.0) for f in FROZEN_SPECS] + [("lstm_rnn", 0.2), ("transformer_encoder", 0.2)],
-)
-def test_fine_tune_on_body_rows_matches_the_per_batch_loop(family, dropout):
-    spec = replace(FROZEN_SPECS[family], dropout=dropout)
+# the ids keep the case names from when a dropout rate was a second parameter
+@pytest.mark.parametrize("family", FROZEN_SPECS, ids=[f"{f}-0.0" for f in FROZEN_SPECS])
+def test_fine_tune_on_body_rows_matches_the_per_batch_loop(family):
+    spec = FROZEN_SPECS[family]
     x, y = _window_problem(spec, n=115, seed=12)
     pretrained, _ = trainer.train(new_decoder(spec), x[49:], y[49:], x[:49], y[:49], trainer.TrainConfig(max_epochs=2))
     # 49 fit windows in batches of 16, so the last batch holds a single
@@ -196,12 +194,12 @@ def test_fine_tune_zero_epochs_is_identity():
 
 def test_divergence_reports_epoch_and_lr():
     x, y = _window_problem(LIN, n=80, seed=10)
-    cfg = trainer.TrainConfig(max_epochs=30, learning_rate=1e12, optimizer="sgd", patience=30)
+    cfg = trainer.TrainConfig(max_epochs=30, learning_rate=1e300, patience=30)
     with pytest.raises(DivergenceError) as exc:
         trainer.train(new_decoder(LIN), x, y * 1e6, x, y, cfg)
     msg = str(exc.value)
     assert "epoch" in msg
-    assert exc.value.lr == 1e12
+    assert exc.value.lr == 1e300
     assert exc.value.epoch >= 1
 
 
@@ -225,13 +223,6 @@ def test_overfit_single_batch_monotone():
     losses = [r.train_loss for r in report.history]
     diffs = np.diff(losses[1:])
     assert np.all(diffs <= 1e-9), "single-batch loss must decrease monotonically"
-
-
-def test_sgd_optimizer_path():
-    x, y = _window_problem(LIN, n=200, seed=14)
-    cfg = trainer.TrainConfig(max_epochs=20, optimizer="sgd", learning_rate=1e-3, patience=20)
-    _, report = trainer.train(new_decoder(LIN), x[:150], y[:150], x[150:], y[150:], cfg)
-    assert report.history[-1].val_loss < report.history[0].val_loss
 
 
 def test_forest_family_rejected():
@@ -266,8 +257,6 @@ def test_config_validation():
         trainer.TrainConfig(patience=0)
     with pytest.raises(ValueError):
         trainer.TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        trainer.TrainConfig(optimizer="rmsprop")
 
 
 def test_speed_rnn_learns_constant_sessions():
