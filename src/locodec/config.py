@@ -127,7 +127,7 @@ REGISTRY: dict[str, tuple] = {
     "dataset.iqr_threshold": (_opt_float, None),
     "dataset.synthetic": (_bool, False),
     **_spec_keys("dataset.synthetic.", FleetSpec),
-    **_spec_keys("decoder.", DecoderSpec, ("n_channels", "window_len", "seed"), family="lstm_rnn"),
+    **_spec_keys("decoder.", DecoderSpec, ("n_channels", "seed"), family="lstm_rnn"),
     **_spec_keys("train.", TrainConfig, ("freeze_body", "shuffle_seed")),
     "train.session": (_str, ""),
     **_spec_keys("plan.", ExperimentPlan, ("decoder", "train", "master_seed")),

@@ -24,7 +24,7 @@ by :meth:`Decoder.body_rows`, and :meth:`Decoder.loss_batch` and
 :meth:`Decoder.predict_batch` take the resulting :class:`BodyRows` in place
 of the stack and run only the head.
 
-A model file (version 3) has one layout for every family: a JSON header
+A model file (version 4) has one layout for every family: a JSON header
 ``{spec, meta}``, then one list of named arrays, the decoder's followed by
 ``extra.<name>`` arrays such as normalizer statistics. A trained family
 stores its parameters; the forest stores ``tree<i>.<field>`` for the node
@@ -63,7 +63,7 @@ RECURRENT_FAMILIES = ("lstm_rnn", "speed_rnn")
 FLAT_FAMILIES = ("linear", "ffnn", "random_forest")
 
 MODEL_MAGIC = b"LCMD1"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 CONV_KERNEL = 3  # width of the transformer's token convolution
 
 
@@ -71,7 +71,6 @@ CONV_KERNEL = 3  # width of the transformer's token convolution
 class DecoderSpec:
     family: str
     n_channels: int = 32
-    window_len: int = WINDOW_LEN
     ffnn_hidden: tuple[int, ...] = (256, 64)
     lstm_hidden: int = 64
     head_hidden: tuple[int, ...] = (32,)
@@ -84,21 +83,16 @@ class DecoderSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown decoder family {self.family!r}; known: {FAMILIES}")
-        if self.n_channels < 1 or self.window_len < 1:
-            raise ValueError("n_channels and window_len must be positive")
+        if self.n_channels < 1:
+            raise ValueError("n_channels must be positive")
         if self.family == "speed_rnn" and self.n_channels != 1:
             raise ValueError("speed_rnn takes exactly one input channel")
-        if self.family == "transformer_encoder":
-            if self.embed_dim % self.n_heads != 0:
-                raise ValueError(
-                    f"embed_dim {self.embed_dim} must divide into {self.n_heads} heads"
-                )
-            if self.window_len < CONV_KERNEL:
-                raise ValueError(f"window_len must be at least the conv width {CONV_KERNEL}")
+        if self.family == "transformer_encoder" and self.embed_dim % self.n_heads != 0:
+            raise ValueError(f"embed_dim {self.embed_dim} must divide into {self.n_heads} heads")
 
     @property
     def flat_dim(self) -> int:
-        return self.n_channels * self.window_len
+        return self.n_channels * WINDOW_LEN
 
 
 def _glorot(rng, shape: tuple[int, int]) -> np.ndarray:
@@ -200,7 +194,7 @@ def _head_width(spec: DecoderSpec) -> int:
 
 def _window_input(spec: DecoderSpec, x):
     """The family's input from a time-major window stack of shape (n,
-    window_len, n_channels): flat families see each window flattened time
+    WINDOW_LEN, n_channels): flat families see each window flattened time
     first (sample 0's channels first), sequence families the stack itself.
     Body rows pass through once their width is the head's."""
     if isinstance(x, BodyRows):
@@ -211,9 +205,9 @@ def _window_input(spec: DecoderSpec, x):
             )
         return x
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1:] != (spec.window_len, spec.n_channels):
+    if x.ndim != 3 or x.shape[1:] != (WINDOW_LEN, spec.n_channels):
         raise ShapeError(
-            f"{spec.family} decoder takes (n, {spec.window_len}, {spec.n_channels}) "
+            f"{spec.family} decoder takes (n, {WINDOW_LEN}, {spec.n_channels}) "
             f"window stacks, got shape {x.shape}"
         )
     return x.reshape(len(x), spec.flat_dim) if spec.family in FLAT_FAMILIES else x
@@ -515,7 +509,7 @@ def gradcheck_decoder(
     if spec.family == "random_forest":
         raise ValueError("random_forest is not gradient-trained")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n_windows, spec.window_len, spec.n_channels))
+    x = rng.standard_normal((n_windows, WINDOW_LEN, spec.n_channels))
     y = rng.standard_normal(n_windows)
     decoder = new_decoder(spec)
     params = decoder.param_list()

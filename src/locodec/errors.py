@@ -19,7 +19,8 @@ class IntegrityError(LocodecError):
 
 
 class UnsupportedRateError(LocodecError):
-    """Requested resampling is not an integer decimation of the source rate."""
+    """A session is not at the canonical rate, or a raw rate does not
+    decimate to it by an integer factor."""
 
 
 class SplitError(LocodecError):

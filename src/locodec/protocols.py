@@ -37,6 +37,7 @@ from .dsp import BAND_NAMES, autocorrelation, band, band_isolate
 from .errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from .sessions import (
     REGIONS,
+    STRIDE_MS,
     WINDOW_LEN,
     Normalizer,
     Session,
@@ -240,7 +241,7 @@ def _speed_source(session: Session, plan: ExperimentPlan, fit_range: range):
     z = (session.speed - mu) / sd
 
     def speed_windows(rng: range):
-        starts, x, y = speed_window_arrays(z, rng, plan.offset_ms, session.sample_rate_hz)
+        starts, x, y = speed_window_arrays(z, rng, plan.offset_ms)
         # targets come back as z[t]*sd + mu, not speed[t]: the two differ
         # in the last bit, and training amplifies that
         return starts, x, y * sd + mu
@@ -297,7 +298,7 @@ def _run_unit(
     t0 = time.perf_counter()
     fit_rng, val_rng, test_rng = ranges
     windows, normalizer, norm_range = source(session, plan, normalizer)
-    k = offset_samples_for(plan.offset_ms, session.sample_rate_hz)
+    k = offset_samples_for(plan.offset_ms)
     fit_sets = [] if isinstance(fit, Decoder) else [
         _split_windows(windows, rng, test_rng, k) for rng in (fit_rng, val_rng)
     ]
@@ -605,7 +606,6 @@ def _speed_reference(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
     spec = DecoderSpec(
         family="speed_rnn",
         n_channels=1,
-        window_len=WINDOW_LEN,
         lstm_hidden=plan.decoder.lstm_hidden,
         head_hidden=plan.decoder.head_hidden,
     )
@@ -617,8 +617,7 @@ def autocorrelation_results(session: Session, max_lag_ms: int = AUTOCORR_MAX_LAG
     """Speed autocorrelation at every stride lag out to ±max_lag_ms, shaped
     like decoder rows (model "autocorrelation", r2 = r²). The negative side
     mirrors the positive one; lagged Pearson on a single trace is symmetric."""
-    step_ms = 1000.0 / session.sample_rate_hz
-    max_lag = int(round(max_lag_ms / step_ms))
+    max_lag = offset_samples_for(max_lag_ms)
     curve = autocorrelation(session.speed, max_lag)
     n = session.n_samples
     rows = []
@@ -631,7 +630,7 @@ def autocorrelation_results(session: Session, max_lag_ms: int = AUTOCORR_MAX_LAG
                 strategy="single_80",
                 region_set="all",
                 band="fullband",
-                offset_ms=int(round(k * step_ms)),
+                offset_ms=int(round(k * STRIDE_MS)),
                 model="autocorrelation",
                 r=r,
                 r2=r * r,

@@ -2,12 +2,17 @@
 splits, channel-wise normalization, and sliding-window extraction.
 
 A session is an immutable pairing of a multichannel EEG matrix (channels x
-time) with a speed trace sampled at the same rate (canonically 100 Hz), plus
-channel region/side labels and provenance metadata. Two interchangeable
-on-disk forms are supported: a CSV with a plain-text manifest sidecar, and a
-compact binary with the manifest embedded. Ingest reads only 100 Hz files,
-the rate at which a window spans 200 ms; :func:`preprocess_raw` decimates
-raw recordings to it.
+time) with a speed trace sampled at the same rate, plus channel region/side
+labels and provenance metadata. Two interchangeable on-disk forms are
+supported: a CSV with a plain-text manifest sidecar, and a compact binary
+with the manifest embedded.
+
+This module owns the time base. Every session is sampled at
+:data:`CANONICAL_RATE_HZ` (100 Hz; :func:`preprocess_raw` decimates raw
+recordings to it, and a :class:`Session` at any other rate is rejected), so
+one sample is :data:`STRIDE_MS` (10 ms), a window of :data:`WINDOW_LEN`
+samples spans 200 ms, and :func:`offset_samples_for` is the one rule that
+turns milliseconds into samples.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .errors import (
 )
 
 CANONICAL_RATE_HZ = 100.0
-WINDOW_LEN = 20  # samples per decoding window (200 ms at 100 Hz)
+STRIDE_MS = 1000.0 / CANONICAL_RATE_HZ  # ms between samples, and between windows
+WINDOW_LEN = 20  # samples per decoding window (200 ms)
 STD_FLOOR = 1e-8
 REGIONS = ("medial_prefrontal", "somatomotor", "motor", "visual")
 SIDES = ("left", "right")
@@ -45,9 +51,17 @@ def channel_name(index: int, n_channels: int) -> str:
     return f"ch{index + 1:0{width}d}"
 
 
+def _rate_error(session_id: str, rate: float) -> UnsupportedRateError:
+    return UnsupportedRateError(
+        f"session {session_id} is sampled at {rate} Hz; "
+        f"sessions must be at {CANONICAL_RATE_HZ} Hz (decimate with preprocess_raw)"
+    )
+
+
 @dataclass(frozen=True)
 class Session:
-    """One recording: EEG (C, T), speed (T,), labels, provenance."""
+    """One recording: EEG (C, T), speed (T,), labels, provenance. The rate
+    must be :data:`CANONICAL_RATE_HZ`."""
 
     id: str
     rat_id: str
@@ -59,6 +73,8 @@ class Session:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.sample_rate_hz != CANONICAL_RATE_HZ:
+            raise _rate_error(self.id, self.sample_rate_hz)
         eeg = np.ascontiguousarray(np.asarray(self.eeg, dtype=np.float64))
         speed = np.ascontiguousarray(np.asarray(self.speed, dtype=np.float64))
         if eeg.ndim != 2:
@@ -73,8 +89,6 @@ class Session:
             raise IntegrityError(
                 f"session {self.id}: {speed.size} samples is shorter than one window ({WINDOW_LEN})"
             )
-        if self.sample_rate_hz <= 0:
-            raise IntegrityError(f"session {self.id}: sample rate must be positive")
         bad = np.argwhere(~np.isfinite(eeg))
         if bad.size:
             c, t = bad[0]
@@ -193,12 +207,6 @@ def _session_from_arrays(
             f"manifest session.sample_rate_hz is not a number: "
             f"{manifest['session.sample_rate_hz']!r}"
         )
-    if rate != CANONICAL_RATE_HZ:
-        # windows are WINDOW_LEN samples, which is 200 ms only at this rate
-        raise UnsupportedRateError(
-            f"session {manifest.get('session.id', fallback_id)} is sampled at {rate} Hz; "
-            f"sessions must be at {CANONICAL_RATE_HZ} Hz (decimate with preprocess_raw)"
-        )
     return Session(
         id=manifest.get("session.id", fallback_id),
         rat_id=manifest.get("session.rat_id", fallback_id),
@@ -259,7 +267,6 @@ def _ingest_csv(path: Path) -> Session:
 
 
 def _write_csv(s: Session, path: Path) -> None:
-    fs = float(s.sample_rate_hz)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -267,7 +274,7 @@ def _write_csv(s: Session, path: Path) -> None:
         )
         for t in range(s.n_samples):
             writer.writerow(
-                [repr(t / fs), repr(float(s.speed[t]))]
+                [repr(t / CANONICAL_RATE_HZ), repr(float(s.speed[t]))]
                 + [repr(float(v)) for v in s.eeg[:, t]]
             )
     manifest_path_for(path).write_text(manifest_text(manifest_from_session(s)))
@@ -299,6 +306,8 @@ def _ingest_bin(path: Path) -> Session:
     if len(blob) < off + mlen:
         raise FormatError(f"{path}: truncated manifest")
     manifest = parse_manifest_text(blob[off : off + mlen].decode("utf-8"))
+    if rate != CANONICAL_RATE_HZ:
+        raise _rate_error(manifest.get("session.id", path.stem), rate)
     return _session_from_arrays(eeg, speed, manifest, fallback_id=path.stem)
 
 
@@ -465,13 +474,12 @@ def normalized_session(s: Session, norm: Normalizer) -> Session:
 # sliding windows
 
 
-def offset_samples_for(offset_ms: int, sample_rate_hz: float = CANONICAL_RATE_HZ) -> int:
-    step_ms = 1000.0 / sample_rate_hz
-    k = offset_ms / step_ms
+def offset_samples_for(offset_ms: float) -> int:
+    """The number of samples in ``offset_ms``, which must be a whole number
+    of :data:`STRIDE_MS` steps."""
+    k = offset_ms / STRIDE_MS
     if abs(k - round(k)) > 1e-9:
-        raise ValueError(
-            f"offset {offset_ms} ms is not a whole number of samples at {sample_rate_hz} Hz"
-        )
+        raise ValueError(f"{offset_ms} ms is not a whole number of {STRIDE_MS:g} ms samples")
     return int(round(k))
 
 
@@ -498,18 +506,13 @@ def window_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows over the session's EEG with speed targets: (starts, X, y),
     X of shape (n, WINDOW_LEN, C) time-major."""
-    k = offset_samples_for(offset_ms, s.sample_rate_hz)
-    return _window_stack(s.eeg, s.speed, index_range, k)
+    return _window_stack(s.eeg, s.speed, index_range, offset_samples_for(offset_ms))
 
 
 def speed_window_arrays(
-    speed: np.ndarray,
-    index_range: range,
-    offset_ms: int = 0,
-    sample_rate_hz: float = CANONICAL_RATE_HZ,
+    speed: np.ndarray, index_range: range, offset_ms: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows over the speed trace itself (single input channel), used by the
     speed-history reference decoder. Same windowing and target rules."""
     speed = np.asarray(speed, dtype=np.float64)
-    k = offset_samples_for(offset_ms, sample_rate_hz)
-    return _window_stack(speed[None, :], speed, index_range, k)
+    return _window_stack(speed[None, :], speed, index_range, offset_samples_for(offset_ms))

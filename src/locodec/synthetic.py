@@ -34,7 +34,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .dsp import design_butterworth, filtfilt
-from .sessions import CANONICAL_RATE_HZ, REGIONS, SIDES, Session
+from .sessions import CANONICAL_RATE_HZ, REGIONS, SIDES, WINDOW_LEN, Session, offset_samples_for
 
 ENCODINGS = ("linear", "am", "lead")
 
@@ -71,7 +71,7 @@ class FleetSpec:
             raise ValueError(f"unknown regions {sorted(unknown)}; known: {REGIONS}")
         if not self.signal_regions:
             raise ValueError("signal_regions must not be empty")
-        if self.n_samples < 20:
+        if self.n_samples < WINDOW_LEN:
             raise ValueError("duration too short for a single window")
         if self.lead_ms and self.encoding != "lead":
             raise ValueError("lead_ms is only meaningful with encoding='lead'")
@@ -86,10 +86,7 @@ class FleetSpec:
 
     @property
     def lead_samples(self) -> int:
-        k = self.lead_ms * CANONICAL_RATE_HZ / 1000.0
-        if abs(k - round(k)) > 1e-9:
-            raise ValueError(f"lead_ms {self.lead_ms} is not a whole number of samples")
-        return int(round(k))
+        return offset_samples_for(self.lead_ms)
 
 
 def orthogonal_signs(row: int, n_channels: int) -> np.ndarray:
@@ -110,21 +107,21 @@ def region_layout(n_channels: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return regions, sides
 
 
-def _rectified_ou(rng, n: int, fs: float, tau_s: float, bias: float) -> tuple[np.ndarray, np.ndarray]:
+def _rectified_ou(rng, n: int, tau_s: float, bias: float) -> tuple[np.ndarray, np.ndarray]:
     """Latent locomotion drive: unit-variance OU path, lightly smoothed, then
     shifted and clipped at zero. Returns (latent u >= 0, raw OU path)."""
-    alpha = float(np.exp(-1.0 / (fs * tau_s)))
+    alpha = float(np.exp(-1.0 / (CANONICAL_RATE_HZ * tau_s)))
     eps = rng.standard_normal(n)
     eps[0] = rng.standard_normal() / np.sqrt(1.0 - alpha * alpha)  # stationary start
     x = lfilter([np.sqrt(1.0 - alpha * alpha)], [1.0, -alpha], eps)
-    sos = design_butterworth(2, "lowpass", (1.2,), fs)
+    sos = design_butterworth(2, "lowpass", (1.2,), CANONICAL_RATE_HZ)
     x = filtfilt(sos, x)
     u = np.maximum(x + bias, 0.0)
     return u, x
 
 
-def _carrier(rng, n: int, fs: float, band: tuple[float, float]) -> np.ndarray:
-    sos = design_butterworth(4, "bandpass", band, fs)
+def _carrier(rng, n: int, band: tuple[float, float]) -> np.ndarray:
+    sos = design_butterworth(4, "bandpass", band, CANONICAL_RATE_HZ)
     c = filtfilt(sos, rng.standard_normal(n))
     sd = float(np.std(c))
     return c / sd if sd > 0 else c
@@ -142,7 +139,7 @@ def _session_eeg(
     eeg = np.empty((c_count, n))
     for c in range(c_count):
         noise = spec.noise_scale * rng.standard_normal(n)
-        carrier = _carrier(rng, n, CANONICAL_RATE_HZ, spec.carrier_band)
+        carrier = _carrier(rng, n, spec.carrier_band)
         if not signal_mask[c]:
             eeg[c] = AM_FLOOR * carrier + noise
             continue
@@ -154,7 +151,7 @@ def _session_eeg(
             # at the noise level and vanishes in the noise-free limit.
             sig = gains[c] * u_eeg + AM_FLOOR * spec.noise_scale * carrier
         if spec.eight_hz_gain > 0.0:
-            sig = sig + spec.eight_hz_gain * u_eeg * _carrier(rng, n, CANONICAL_RATE_HZ, (7.5, 8.5))
+            sig = sig + spec.eight_hz_gain * u_eeg * _carrier(rng, n, (7.5, 8.5))
         eeg[c] = sig + noise
     return eeg
 
@@ -187,7 +184,7 @@ def generate_synthetic_fleet(spec: FleetSpec) -> list[Session]:
         rat_id = f"rat{r + 1:02d}"
         for k, sss in enumerate(sess_ss):
             rng = np.random.default_rng(sss)
-            u_full, _ = _rectified_ou(rng, n + lead, CANONICAL_RATE_HZ, spec.speed_tau_s, spec.speed_bias)
+            u_full, _ = _rectified_ou(rng, n + lead, spec.speed_tau_s, spec.speed_bias)
             u_now = u_full[:n]
             u_eeg = u_full[lead:] if lead else u_now
             speed = SPEED_SCALE * u_now

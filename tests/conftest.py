@@ -1,4 +1,6 @@
 import os
+import struct
+from pathlib import Path
 
 # One BLAS thread per test process, as perfbench/run.py sets it: the
 # products here are small, and extra threads on a busy machine slow them
@@ -44,6 +46,23 @@ def make_session(
         region_map=tuple(REGIONS[(c // 2) % len(REGIONS)] for c in range(n_channels)),
         side_map=tuple(SIDES[c % 2] for c in range(n_channels)),
     )
+
+
+def declare_200_hz(path, header=True, manifest=True):
+    """Rewrite the rate fields of a written 100 Hz session file to say
+    200 Hz over the same samples: the rate in a .bin header, and the rate
+    entry of its manifest (embedded in a .bin, or the CSV's sidecar)."""
+    path = Path(path)
+    target = path.with_suffix(".manifest") if path.suffix == ".csv" else path
+    blob = bytearray(target.read_bytes())
+    if header:
+        assert struct.unpack_from("<d", blob, 17) == (100.0,)  # after magic, channels, samples
+        struct.pack_into("<d", blob, 17, 200.0)
+    if manifest:
+        entry = b"session.sample_rate_hz=100.0"
+        assert blob.count(entry) == 1
+        blob = blob.replace(entry, b"session.sample_rate_hz=200.0")
+    target.write_bytes(bytes(blob))
 
 
 @pytest.fixture

@@ -5,14 +5,16 @@ epochs) so the whole file runs in seconds; the full-scale pipeline runs
 live in the acceptance suite.
 """
 
-import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
 from locodec.protocols import EvalResult, results_to_csv_text
-from locodec.sessions import ingest_session, write_session
+from locodec.sessions import ingest_session
+
+from conftest import declare_200_hz
 
 BASE_CFG = {
     "run.seed": "5",
@@ -132,9 +134,9 @@ def test_a_session_at_another_rate_exits_2(tmp_path, capsys):
     assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
     assert entrypoint(["train", "--config", str(cfg), "--out", str(train_dir)]) == 0
     # the same samples, declared at 200 Hz, would make every window 100 ms
-    session = ingest_session(fleet_dir / "rat01_s01.bin")
     fast = fleet_dir / "fast.bin"
-    write_session(dataclasses.replace(session, sample_rate_hz=200.0), fast)
+    shutil.copyfile(fleet_dir / "rat01_s01.bin", fast)
+    declare_200_hz(fast)
     capsys.readouterr()
     assert entrypoint(["ingest", str(fast), "--out", str(tmp_path / "ingested")]) == 2
     disk = write_cfg(tmp_path, name="disk.cfg", dataset__synthetic="false", dataset__paths=str(fast))

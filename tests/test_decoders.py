@@ -29,7 +29,7 @@ SMALL = {
 
 def _window_batch(spec, n=4, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, spec.window_len, spec.n_channels))
+    return rng.standard_normal((n, WINDOW_LEN, spec.n_channels))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_lstm_zero_input_zero_biases_gives_head_bias():
         if name.endswith("b") or ".b" in name:
             t.data[:] = 0.0
     d.params["head.b1"].data[:] = 0.31
-    x = np.zeros((1, spec.window_len, spec.n_channels))
+    x = np.zeros((1, WINDOW_LEN, spec.n_channels))
     assert d.predict_batch(x)[0] == pytest.approx(0.31, abs=1e-12)
 
 
@@ -162,7 +162,7 @@ def test_transformer_with_positions_breaks_permutation_invariance():
     )
     d = dec.new_decoder(spec)
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(1, spec.window_len, 3))
+    x = rng.normal(size=(1, WINDOW_LEN, 3))
     out = d.predict_batch(x)[0]
     out_rev = d.predict_batch(x[:, ::-1, :].copy())[0]
     assert abs(out - out_rev) > 1e-9
@@ -243,7 +243,7 @@ def test_positional_encoding_values():
 def test_speed_rnn_input_width_one():
     spec = SMALL["speed_rnn"]
     d = dec.new_decoder(spec)
-    x = np.random.default_rng(9).normal(size=(2, spec.window_len, 1))
+    x = np.random.default_rng(9).normal(size=(2, WINDOW_LEN, 1))
     out = d.predict_batch(x)
     assert out.shape == (2,) and np.all(np.isfinite(out))
 
@@ -274,7 +274,7 @@ def test_partition_is_exhaustive_and_disjoint():
 def _fitted_forest(n_trees=5, seed=12):
     rng = np.random.default_rng(seed)
     spec = dec.DecoderSpec(family="random_forest", n_channels=3, n_trees=n_trees, max_depth=4)
-    x = rng.normal(size=(50, spec.window_len, spec.n_channels))
+    x = rng.normal(size=(50, WINDOW_LEN, spec.n_channels))
     return dec.fit_forest_decoder(spec, x, rng.normal(size=50))
 
 
@@ -310,7 +310,7 @@ def test_save_load_forest_roundtrip(tmp_path):
     path = tmp_path / "forest.model"
     dec.save_state(d, path)
     loaded, _, _ = dec.load_state(path)
-    q = np.random.default_rng(13).normal(size=(10, d.spec.window_len, d.spec.n_channels))
+    q = np.random.default_rng(13).normal(size=(10, WINDOW_LEN, d.spec.n_channels))
     np.testing.assert_array_equal(loaded.predict_batch(q), d.predict_batch(q))
 
 
@@ -344,8 +344,9 @@ def test_version_1_file_rejected(tmp_path):
     path = tmp_path / "old.model"
     dec.save_state(dec.new_decoder(SMALL["linear"]), path)
     current = path.read_bytes()
-    # version 2 files name four decoder fields that version 3 dropped
-    for version in (1, 2):
+    # version 2 files name four decoder fields that version 3 dropped, and
+    # version 3 files name window_len, which version 4 dropped
+    for version in (1, 2, 3):
         blob = bytearray(current)
         blob[len(dec.MODEL_MAGIC) : len(dec.MODEL_MAGIC) + 4] = struct.pack("<I", version)
         path.write_bytes(bytes(blob))
@@ -411,7 +412,7 @@ def test_lstm_predict_keeps_no_steps():
     spec = dec.DecoderSpec(family="lstm_rnn", n_channels=32, lstm_hidden=32)
     d = dec.new_decoder(spec)
     x = _window_batch(spec, n=2000, seed=3)
-    saved_steps = 7 * spec.lstm_hidden * spec.window_len * len(x) * 8
+    saved_steps = 7 * spec.lstm_hidden * WINDOW_LEN * len(x) * 8
     tracemalloc.start()
     try:
         d.predict_batch(x)

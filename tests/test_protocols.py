@@ -136,7 +136,7 @@ def _norm_session():
 
 def _windows_of(session, rng, test, offset_ms, evaluate=False):
     source = lambda r: window_arrays(session, r, offset_ms)  # noqa: E731
-    k = offset_samples_for(offset_ms, session.sample_rate_hz)
+    k = offset_samples_for(offset_ms)
     return _split_windows(source, rng, test, k, evaluate=evaluate)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from locodec import sessions as ss
 from locodec.errors import FormatError, IntegrityError, SplitError, UnsupportedRateError
 
-from conftest import make_session
+from conftest import declare_200_hz, make_session
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +114,27 @@ def test_bin_bad_magic_is_format_error(tmp_path):
         ss.ingest_session(path, fmt="canonical_bin")
 
 
+@pytest.mark.parametrize("rate", [200.0, 0.0])
+def test_a_session_at_another_rate_is_rejected(rate):
+    # a window of WINDOW_LEN samples is 200 ms only at the canonical rate
+    with pytest.raises(UnsupportedRateError, match="preprocess_raw"):
+        dataclasses.replace(make_session(n_channels=4, n_samples=300, seed=8), sample_rate_hz=rate)
+
+
 @pytest.mark.parametrize("fmt, ext", [("canonical_bin", ".bin"), ("canonical_csv", ".csv")])
 def test_ingest_rejects_a_noncanonical_rate(tmp_path, fmt, ext):
-    # a window of WINDOW_LEN samples is 200 ms only at the canonical rate
-    s = dataclasses.replace(make_session(n_channels=4, n_samples=300, seed=8), sample_rate_hz=200.0)
     path = tmp_path / f"fast{ext}"
-    ss.write_session(s, path, fmt=fmt)
+    ss.write_session(make_session(n_channels=4, n_samples=300, seed=8), path, fmt=fmt)
+    declare_200_hz(path, header=fmt == "canonical_bin")
+    with pytest.raises(UnsupportedRateError, match="preprocess_raw"):
+        ss.ingest_session(path)
+
+
+def test_ingest_rejects_a_bin_header_at_another_rate(tmp_path):
+    # the embedded manifest still says 100 Hz; the header's rate must agree
+    path = tmp_path / "fast.bin"
+    ss.write_session(make_session(n_channels=4, n_samples=300, seed=8), path)
+    declare_200_hz(path, manifest=False)
     with pytest.raises(UnsupportedRateError, match="preprocess_raw"):
         ss.ingest_session(path)
 

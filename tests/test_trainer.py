@@ -10,13 +10,14 @@ from locodec import autodiff as ad
 from locodec import trainer
 from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DivergenceError
+from locodec.sessions import WINDOW_LEN
 
 
 def _window_problem(spec, n=300, seed=0, noise=0.0):
     """Targets linear in the flattened window, so every family can fit them."""
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, spec.window_len, spec.n_channels))
-    w = rng.normal(size=spec.window_len * spec.n_channels) / np.sqrt(spec.flat_dim)
+    x = rng.normal(size=(n, WINDOW_LEN, spec.n_channels))
+    w = rng.normal(size=WINDOW_LEN * spec.n_channels) / np.sqrt(spec.flat_dim)
     y = x.reshape(n, -1) @ w + noise * rng.normal(size=n)
     return x, y
 
