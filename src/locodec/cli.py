@@ -25,6 +25,7 @@ from .errors import (
     FormatError,
     IntegrityError,
     LocodecError,
+    ModelLoadError,
     UnsupportedRateError,
 )
 from .protocols import (
@@ -58,7 +59,7 @@ from .sessions import (
 )
 from .synthetic import generate_synthetic_fleet
 
-_INPUT_ERRORS = (ConfigError, FormatError, IntegrityError, UnsupportedRateError, FileNotFoundError)
+_INPUT_ERRORS = (ConfigError, FormatError, IntegrityError, ModelLoadError, UnsupportedRateError, FileNotFoundError)
 
 
 def _write_atomic(path: Path, data) -> None:

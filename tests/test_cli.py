@@ -6,11 +6,13 @@ live in the acceptance suite.
 """
 
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
+from locodec.decoders import MODEL_MAGIC
 from locodec.protocols import EvalResult, results_to_csv_text
 from locodec.sessions import ingest_session
 
@@ -144,6 +146,22 @@ def test_a_session_at_another_rate_exits_2(tmp_path, capsys):
     assert entrypoint(["eval", str(train_dir / "rat01_s01.model"), str(fast)]) == 2
     err = capsys.readouterr().err
     assert err.count("preprocess_raw") == 3
+
+
+def test_a_bad_model_file_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dataset__synthetic__n_channels="4")
+    fleet_dir, train_dir = tmp_path / "fleet", tmp_path / "trained"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
+    assert entrypoint(["train", "--config", str(cfg), "--out", str(train_dir)]) == 0
+    blob = (train_dir / "rat01_s01.model").read_bytes()
+    truncated, old = tmp_path / "truncated.model", tmp_path / "v3.model"
+    truncated.write_bytes(blob[: len(blob) // 2])
+    # version 3 is the last format whose header spec names window_len
+    old.write_bytes(MODEL_MAGIC + struct.pack("<I", 3) + blob[len(MODEL_MAGIC) + 4 :])
+    for model in (truncated, old):
+        capsys.readouterr()
+        assert entrypoint(["eval", str(model), str(fleet_dir / "rat01_s01.bin")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def _train_then_eval_rows(tmp_path, **overrides):
