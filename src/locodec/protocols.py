@@ -694,13 +694,12 @@ def _cell(value) -> str:
 def table_text(columns, rows, config_hash: str | None = None, seed: int = 0) -> str:
     """The one CSV format of every output table: a ``# config_hash=... seed=...``
     line unless ``config_hash`` is None, the column names, then one line per
-    row. A row is a mapping keyed by column name or a sequence in column
-    order; floats are written with ``repr`` so they read back exactly."""
+    row, each a sequence in column order; floats are written with ``repr``
+    so they read back exactly."""
     lines = [] if config_hash is None else [f"# config_hash={config_hash} seed={seed}"]
     lines.append(",".join(columns))
     for row in rows:
-        cells = [row[c] for c in columns] if isinstance(row, dict) else row
-        lines.append(",".join(_cell(v) for v in cells))
+        lines.append(",".join(_cell(v) for v in row))
     return "\n".join(lines) + "\n"
 
 

@@ -37,32 +37,22 @@ def _median_ci(values: list[float], seed_label: str) -> tuple[float, float, floa
     return bootstrap_median_ci(arr, n_boot=N_BOOT, seed=derive_seed("report", seed_label))
 
 
-def median_rows(results: list[EvalResult]) -> list[dict]:
+def median_rows(results: list[EvalResult]) -> list[tuple]:
+    """One row per variant in :data:`MEDIANS_COLUMNS` order."""
     groups: dict[tuple, list[EvalResult]] = {}
     for res in results:
         groups.setdefault(_group_key(res), []).append(res)
     rows = []
     for key in sorted(groups):
-        strategy, region_set, band, offset_ms, model = key
         members = groups[key]
         label = "|".join(str(k) for k in key)
-        med_r, lo_r, hi_r = _median_ci([m.r for m in members], label + "|r")
-        med_r2, lo_r2, hi_r2 = _median_ci([m.r2 for m in members], label + "|r2")
         rows.append(
-            {
-                "strategy": strategy,
-                "region_set": region_set,
-                "band": band,
-                "offset_ms": offset_ms,
-                "model": model,
-                "n_sessions": len(members),
-                "median_r": med_r,
-                "ci_lo_r": lo_r,
-                "ci_hi_r": hi_r,
-                "median_r2": med_r2,
-                "ci_lo_r2": lo_r2,
-                "ci_hi_r2": hi_r2,
-            }
+            (
+                *key,
+                len(members),
+                *_median_ci([m.r for m in members], label + "|r"),
+                *_median_ci([m.r2 for m in members], label + "|r2"),
+            )
         )
     return rows
 
@@ -125,9 +115,10 @@ def tests_csv_text(results, metric: str = "r", config_hash: str = "", seed: int 
     return table_text(TESTS_COLUMNS, rows, config_hash, seed)
 
 
-def offset_curve_rows(results: list[EvalResult]) -> tuple[list[dict], list[dict]]:
+def offset_curve_rows(results: list[EvalResult]) -> tuple[list[tuple], list[tuple]]:
     """Per-model offset curves (median r with CI per offset) and quadratic
-    fits r(offset_ms) for models spanning at least three distinct offsets."""
+    fits r(offset_ms) for models spanning at least three distinct offsets,
+    in :data:`CURVES_COLUMNS` and :data:`FITS_COLUMNS` order."""
     by_model: dict[str, dict[int, list[float]]] = {}
     for res in results:
         by_model.setdefault(res.model, {}).setdefault(res.offset_ms, []).append(res.r)
@@ -138,22 +129,13 @@ def offset_curve_rows(results: list[EvalResult]) -> tuple[list[dict], list[dict]
         for off in offsets:
             med, lo, hi = _median_ci(by_model[model][off], f"curve|{model}|{off}")
             medians.append(med)
-            curve_rows.append(
-                {
-                    "model": model,
-                    "offset_ms": off,
-                    "n_sessions": len(by_model[model][off]),
-                    "median_r": med,
-                    "ci_lo_r": lo,
-                    "ci_hi_r": hi,
-                }
-            )
+            curve_rows.append((model, off, len(by_model[model][off]), med, lo, hi))
         if len(offsets) >= 3:
             try:
                 c0, c1, c2 = polyfit2(np.asarray(offsets, dtype=np.float64), np.asarray(medians))
             except FitError:
                 continue
-            fit_rows.append({"model": model, "c0": c0, "c1": c1, "c2": c2})
+            fit_rows.append((model, c0, c1, c2))
     return curve_rows, fit_rows
 
 
