@@ -433,9 +433,8 @@ def _transfer_unit(
         return _run_unit(target, plan, ranges, source_norm, decoder, seed, source_id)
     seed = derive_seed(plan.master_seed, f"{source_id}->{target.id}", plan.cell_id, "finetune")
     cfg = replace(plan.train, freeze_body=True, shuffle_seed=seed)
-    head = range(0, int(np.floor(target.n_samples * 0.1)))
     return _run_unit(
-        target, plan, ranges, head, lambda spec, *data: fine_tune(decoder, *data, cfg), seed, source_id
+        target, plan, ranges, ranges[0], lambda spec, *data: fine_tune(decoder, *data, cfg), seed, source_id
     )
 
 
