@@ -19,6 +19,8 @@ runs, in-process, one fixed set of commands on a 2-rat x 2-session,
   with ``finetune_cross_session``;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``synth --seed``, the form of ``synth`` the benchmark runs;
+- ``synth --format canonical_csv``, then ``ingest`` of those CSV files, so
+  that the CSV session reader and writer run too;
 - ``eval`` of that model at -100, 0 and 200 ms;
 - ``train`` of a 4-tree ``random_forest`` on the same session, and its
   ``eval`` at 0 ms, so that the forest's model file is read back too;
@@ -104,6 +106,8 @@ def run_commands(entrypoint, jobs: int) -> None:
 
     run("synth", "--config", _write_cfg(Path("synth.cfg"), FLEET), "--out", "synth")
     run("synth", "--config", "synth.cfg", "--out", "synth_seed", "--seed", 11)
+    run("synth", "--config", "synth.cfg", "--out", "synth_csv", "--format", "canonical_csv")
+    run("ingest", *sorted(Path("synth_csv").glob("*.csv")), "--out", "ingest_csv")
     disk = {**FLEET, "dataset.synthetic": "false", "dataset.paths": "synth/*.bin", "train.session": "rat01_s01"}
     run("train", "--config", _write_cfg(Path("train.cfg"), disk), "--out", "train", "--band", "theta")
     for offset in (-100, 0, 200):
