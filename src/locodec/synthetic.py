@@ -120,11 +120,12 @@ def _rectified_ou(rng, n: int, tau_s: float, bias: float) -> tuple[np.ndarray, n
     return u, x
 
 
-def _carrier(rng, n: int, band: tuple[float, float]) -> np.ndarray:
+def _carriers(white: np.ndarray, band: tuple[float, float]) -> np.ndarray:
+    """Unit-variance band-limited carriers, one per row of white noise."""
     sos = design_butterworth(4, "bandpass", band, CANONICAL_RATE_HZ)
-    c = filtfilt(sos, rng.standard_normal(n))
-    sd = float(np.std(c))
-    return c / sd if sd > 0 else c
+    c = filtfilt(sos, white, axis=1)
+    sd = c.std(axis=1, keepdims=True)
+    return np.divide(c, sd, out=c, where=sd > 0)
 
 
 def _session_eeg(
@@ -134,25 +135,28 @@ def _session_eeg(
     gains: np.ndarray,
     signal_mask: np.ndarray,
 ) -> np.ndarray:
-    n = u_eeg.size
-    c_count = spec.n_channels
-    eeg = np.empty((c_count, n))
-    for c in range(c_count):
-        noise = spec.noise_scale * rng.standard_normal(n)
-        carrier = _carrier(rng, n, spec.carrier_band)
-        if not signal_mask[c]:
-            eeg[c] = AM_FLOOR * carrier + noise
-            continue
-        if spec.encoding == "am":
-            sig = gains[c] * (AM_FLOOR + u_eeg) * carrier
-        else:
-            # linear and lead encode the (possibly shifted) latent directly;
-            # the carrier floor is part of the disturbance there, so it rides
-            # at the noise level and vanishes in the noise-free limit.
-            sig = gains[c] * u_eeg + AM_FLOOR * spec.noise_scale * carrier
-        if spec.eight_hz_gain > 0.0:
-            sig = sig + spec.eight_hz_gain * u_eeg * _carrier(rng, n, (7.5, 8.5))
-        eeg[c] = sig + noise
+    # Channel by channel, the stream holds noise, then the carrier, then the
+    # 8 Hz carrier on signal channels when eight_hz_gain > 0. One draw of
+    # the whole stream, sliced by row, keeps that order.
+    eight = signal_mask & (spec.eight_hz_gain > 0.0)
+    rows = 2 + eight
+    first = np.cumsum(rows) - rows
+    white = rng.standard_normal((int(rows.sum()), u_eeg.size))
+    noise = spec.noise_scale * white[first]
+    carrier = _carriers(white[first + 1], spec.carrier_band)
+    if spec.encoding == "am":
+        sig = gains[:, None] * (AM_FLOOR + u_eeg) * carrier
+    else:
+        # linear and lead encode the (possibly shifted) latent directly;
+        # the carrier floor is part of the disturbance there, so it rides
+        # at the noise level and vanishes in the noise-free limit.
+        sig = gains[:, None] * u_eeg + AM_FLOOR * spec.noise_scale * carrier
+    if eight.any():
+        sig[eight] = sig[eight] + spec.eight_hz_gain * u_eeg * _carriers(
+            white[first[eight] + 2], (7.5, 8.5)
+        )
+    eeg = np.where(signal_mask[:, None], sig, AM_FLOOR * carrier)
+    eeg += noise
     return eeg
 
 

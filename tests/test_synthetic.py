@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locodec import dsp
+from locodec import dsp, synthetic
 from locodec.decoders import DecoderSpec
 from locodec.protocols import ExperimentPlan, run_single_session
-from locodec.sessions import REGIONS, SIDES, apply_inclusion_gate
+from locodec.sessions import CANONICAL_RATE_HZ, REGIONS, SIDES, apply_inclusion_gate
 from locodec.synthetic import (
     AM_FLOOR,
     ENCODINGS,
@@ -190,6 +190,76 @@ def test_eight_hz_carrier_ramps_with_speed():
     lo, hi = present[0], present[-1]
     band8 = (spectra.frequencies >= 7.0) & (spectra.frequencies <= 9.0)
     assert np.mean(spectra.f_psd[hi][band8]) > 2.0 * np.mean(spectra.f_psd[lo][band8])
+
+
+def _loop_carrier(rng, n, band):
+    sos = dsp.design_butterworth(4, "bandpass", band, CANONICAL_RATE_HZ)
+    c = dsp.filtfilt(sos, rng.standard_normal(n))
+    sd = float(np.std(c))
+    return c / sd if sd > 0 else c
+
+
+def _loop_session_eeg(spec, rng, u_eeg, gains, signal_mask):
+    """The channel-at-a-time synthesis that the block version replaces."""
+    n = u_eeg.size
+    eeg = np.empty((spec.n_channels, n))
+    for c in range(spec.n_channels):
+        noise = spec.noise_scale * rng.standard_normal(n)
+        carrier = _loop_carrier(rng, n, spec.carrier_band)
+        if not signal_mask[c]:
+            eeg[c] = AM_FLOOR * carrier + noise
+            continue
+        if spec.encoding == "am":
+            sig = gains[c] * (AM_FLOOR + u_eeg) * carrier
+        else:
+            sig = gains[c] * u_eeg + AM_FLOOR * spec.noise_scale * carrier
+        if spec.eight_hz_gain > 0.0:
+            sig = sig + spec.eight_hz_gain * u_eeg * _loop_carrier(rng, n, (7.5, 8.5))
+        eeg[c] = sig + noise
+    return eeg
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(encoding="am", n_channels=32),
+        dict(encoding="am", n_channels=5, signal_regions=("motor",), eight_hz_gain=0.8),
+        dict(encoding="linear", n_channels=32, eight_hz_gain=1.5, scramble_channels=True,
+             signal_regions=("visual", "somatomotor")),
+        dict(encoding="linear", n_channels=5, noise_scale=0.0, scramble_channels=True),
+        dict(encoding="lead", n_channels=32, lead_ms=250.0, signal_regions=("motor",)),
+        dict(encoding="lead", n_channels=5, lead_ms=100.0, eight_hz_gain=1.0,
+             carrier_band=(5.0, 7.0)),
+    ],
+)
+def test_fleet_matches_the_channel_loop_bitwise(monkeypatch, kw):
+    spec = small_fleet(n_rats=2, sessions_per_rat=2, duration_s=8.0, seed=21, **kw)
+    fleet = generate_synthetic_fleet(spec)
+    monkeypatch.setattr(synthetic, "_session_eeg", _loop_session_eeg)
+    reference = generate_synthetic_fleet(spec)
+    assert [s.id for s in fleet] == [s.id for s in reference]
+    for s, ref in zip(fleet, reference):
+        assert s.eeg.tobytes() == ref.eeg.tobytes()
+        assert s.speed.tobytes() == ref.speed.tobytes()
+
+
+def test_filter_designs_do_not_grow_with_channels(monkeypatch):
+    designs = []
+    design = synthetic.design_butterworth
+
+    def counted(*args, **kwargs):
+        designs.append(args)
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "design_butterworth", counted)
+    counts = []
+    for n_channels in (2, 32):
+        designs.clear()
+        generate_synthetic_fleet(
+            small_fleet(n_rats=2, n_channels=n_channels, duration_s=5.0, eight_hz_gain=1.0)
+        )
+        counts.append(len(designs))
+    assert counts[0] == counts[1] > 0
 
 
 def test_n_samples_rounds_from_duration():
