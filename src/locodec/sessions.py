@@ -240,8 +240,7 @@ def _ingest_csv(path: Path) -> Session:
         expected = ["time_s", "speed"] + [channel_name(i, n_channels) for i in range(n_channels)]
         if header != expected:
             raise FormatError(f"{path}: channel columns must be named {expected[2:]} in order")
-        speed_rows: list[float] = []
-        eeg_rows: list[list[float]] = []
+        rows: list[list[float]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -250,19 +249,25 @@ def _ingest_csv(path: Path) -> Session:
                     f"{path}: line {lineno} has {len(row)} fields, expected {len(expected)}"
                 )
             try:
-                values = [float(v) for v in row[1:]]
+                rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise FormatError(f"{path}: line {lineno}: {exc}")
-            speed_rows.append(values[0])
-            eeg_rows.append(values[1:])
-    if not speed_rows:
+    if not rows:
         raise FormatError(f"{path}: no data rows")
-    eeg = np.asarray(eeg_rows, dtype=np.float64).T
-    speed = np.asarray(speed_rows, dtype=np.float64)
+    table = np.asarray(rows, dtype=np.float64).T
+    time_s, speed, eeg = table[0], table[1], table[2:]
+    if not np.all(np.isfinite(time_s)):
+        raise FormatError(f"{path}: time_s must be finite")
     mpath = manifest_path_for(path)
     if not mpath.exists():
         raise FormatError(f"{path}: manifest sidecar {mpath.name} not found")
     manifest = parse_manifest_text(mpath.read_text())
+    # time_s is the file's own record of its rate: it must step by one sample
+    step = np.diff(time_s)
+    off = np.flatnonzero(np.abs(step - 1.0 / CANONICAL_RATE_HZ) > 1e-9)
+    if off.size:
+        rate = round(1.0 / step[off[0]], 6) if step[off[0]] else float("inf")
+        raise _rate_error(manifest.get("session.id", path.stem), rate)
     return _session_from_arrays(eeg, speed, manifest, fallback_id=path.stem)
 
 

@@ -90,6 +90,51 @@ def test_csv_bad_header_is_format_error(tmp_path):
         ss.ingest_session(path)
 
 
+def _rewrite_csv_times(path, time_of):
+    lines = path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        fields = lines[i].split(",")
+        fields[0] = time_of(i - 1)
+        lines[i] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "time_of, rate",
+    [
+        (lambda i: repr(i / 200), "200.0"),  # every step 5 ms
+        (lambda i: repr((i + (i >= 50)) / 100), "50.0"),  # one 20 ms gap
+    ],
+    ids=["200_hz", "one_gap"],
+)
+def test_csv_times_off_the_100_hz_step_are_rejected(tmp_path, time_of, rate):
+    # the manifest still says 100 Hz; the time_s column must agree
+    path = tmp_path / "fast.csv"
+    ss.write_session(make_session(n_channels=3, n_samples=300, seed=9), path, fmt="canonical_csv")
+    _rewrite_csv_times(path, time_of)
+    with pytest.raises(UnsupportedRateError, match=rf"sampled at {rate} Hz.*preprocess_raw"):
+        ss.ingest_session(path)
+
+
+@pytest.mark.parametrize("bad", ["soon", "nan"])
+def test_csv_nonnumeric_time_is_format_error(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    ss.write_session(make_session(n_channels=2, n_samples=30), path, fmt="canonical_csv")
+    _rewrite_csv_times(path, lambda i: bad if i == 7 else repr(i / 100))
+    with pytest.raises(FormatError):
+        ss.ingest_session(path)
+
+
+def test_csv_times_need_not_start_at_zero(tmp_path):
+    s = make_session(n_channels=2, n_samples=100, seed=4)
+    path = tmp_path / "late.csv"
+    ss.write_session(s, path, fmt="canonical_csv")
+    _rewrite_csv_times(path, lambda i: repr((i + 6000) / 100))
+    back = ss.ingest_session(path)
+    assert back.eeg.tobytes() == s.eeg.tobytes()
+    assert back.speed.tobytes() == s.speed.tobytes()
+
+
 def test_bin_roundtrip_bitwise(tmp_path):
     s = make_session(n_channels=5, n_samples=137, seed=7)
     path = tmp_path / "e.bin"
