@@ -103,6 +103,17 @@ def test_mse_gradient_vanishes_at_minimum():
     np.testing.assert_array_equal(x.grad, np.zeros(12))
 
 
+def test_mse_target_gradient_is_the_negated_prediction_gradient():
+    rng = RNG(11)
+    pred = ad.parameter(rng.normal(size=(3, 4)), "pred")
+    target = ad.parameter(rng.normal(size=(3, 4)), "target")
+    report = ad.gradcheck(lambda: ad.mse(pred, target), [pred, target], tolerance=1e-6)
+    assert report.passed and report.n_checked == 24, f"max rel err {report.max_rel_err:.2e}"
+    ad.zero_grads([pred, target])
+    ad.backward(ad.mse(pred, target), [pred, target])
+    assert target.grad.tobytes() == (-pred.grad).tobytes()
+
+
 def test_matmul_gradient_closed_form():
     """For L = sum(S * (A @ B)): dA = S Bᵀ and dB = Aᵀ S on a 2x2 case."""
     rng = RNG(8)
