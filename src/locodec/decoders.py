@@ -24,14 +24,15 @@ by :meth:`Decoder.body_rows`, and :meth:`Decoder.loss_batch` and
 :meth:`Decoder.predict_batch` take the resulting :class:`BodyRows` in place
 of the stack and run only the head.
 
-A model file (version 4) has one layout for every family: a JSON header
-``{spec, meta}``, then one list of named arrays, the decoder's followed by
-``extra.<name>`` arrays such as normalizer statistics. A trained family
-stores its parameters; the forest stores ``tree<i>.<field>`` for the node
-arrays of each tree (feature, threshold, left, right, value). Float decoder
-arrays are stored as float32, so finished decoders are quantized to
-float32-representable values once at the end of fitting; save -> load ->
-predict is then bitwise reproducible.
+A model file (version 5) is a numpy ``.npz`` archive with one layout for
+every family: a JSON ``header`` ``{version, spec, meta}``, the decoder's
+named arrays, and ``extra.<name>`` arrays such as normalizer statistics. A
+trained family stores its parameters; the forest stores ``forest.<field>``,
+each node field concatenated over the trees, and ``forest.n_nodes``. Every
+array's CRC-32 is checked on load. Float decoder arrays are stored as
+float32, so finished decoders are quantized to float32-representable values
+once at the end of fitting; save -> load -> predict is then bitwise
+reproducible.
 """
 
 from __future__ import annotations
@@ -39,9 +40,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import struct
+import zipfile
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -62,8 +62,7 @@ TRAINABLE_FAMILIES = tuple(f for f in FAMILIES if f != "random_forest")
 RECURRENT_FAMILIES = ("lstm_rnn", "speed_rnn")
 FLAT_FAMILIES = ("linear", "ffnn", "random_forest")
 
-MODEL_MAGIC = b"LCMD1"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 CONV_KERNEL = 3  # width of the transformer's token convolution
 
 
@@ -363,59 +362,15 @@ _TREE_FIELDS = {
 
 
 def _stored_arrays(decoder: Decoder) -> list[tuple[str, np.ndarray]]:
-    """The decoder's named arrays in file order: its parameters, or each
-    tree's node arrays for the forest."""
+    """The decoder's named arrays in file order: its parameters, or each node
+    field of the forest concatenated over its trees, then the node counts."""
     if decoder.spec.family != "random_forest":
         return [(n, t.data) for n, t in decoder.param_items()]
     if decoder.forest is None:
         raise SpecMismatchError("cannot save an unfitted random_forest decoder")
-    return [
-        (f"tree{i}.{field}", getattr(tree, field))
-        for i, tree in enumerate(decoder.forest.trees)
-        for field in _TREE_FIELDS
-    ]
-
-
-# decoder arrays are stored as float32 (node indices as int32); extras (e.g.
-# normalizer statistics) keep their native precision so reload-and-evaluate
-# is bitwise faithful
-_DTYPE_CODES = {0: "<f4", 1: "<f8", 2: "<i8", 3: "<i4"}
-_CODE_OF = {np.dtype(dt): code for code, dt in _DTYPE_CODES.items()}
-
-
-def _pack_tensor(name: str, arr: np.ndarray) -> bytes:
-    arr = np.asarray(arr)
-    if arr.dtype not in _CODE_OF:
-        raise ValueError(f"unsupported array dtype {arr.dtype}")
-    nb = name.encode("utf-8")
-    parts = [struct.pack("<H", len(nb)), nb, struct.pack("<BB", arr.ndim, _CODE_OF[arr.dtype])]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr).tobytes())
-    return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.off = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise ModelLoadError(f"{self.path}: truncated model file")
-        out = self.blob[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _spec_to_json(spec: DecoderSpec) -> dict:
-    d = asdict(spec)
-    d["ffnn_hidden"] = list(spec.ffnn_hidden)
-    d["head_hidden"] = list(spec.head_hidden)
-    return d
+    trees = decoder.forest.trees
+    fields = [(f"forest.{field}", np.concatenate([getattr(t, field) for t in trees])) for field in _TREE_FIELDS]
+    return fields + [("forest.n_nodes", np.array([t.n_nodes for t in trees], dtype=np.int32))]
 
 
 def _spec_from_json(d: dict) -> DecoderSpec:
@@ -426,74 +381,67 @@ def _spec_from_json(d: dict) -> DecoderSpec:
 
 
 def save_state(decoder: Decoder, path, extras: dict[str, np.ndarray] | None = None, meta: dict | None = None) -> None:
-    """Serialize a decoder (plus optional named extra arrays such as
-    normalizer statistics) to the binary model format."""
-    header = json.dumps({"spec": _spec_to_json(decoder.spec), "meta": meta or {}}, sort_keys=True).encode("utf-8")
-    arrays = [(n, a.astype(np.float32) if a.dtype == np.float64 else a) for n, a in _stored_arrays(decoder)]
-    arrays += [(f"extra.{n}", extras[n]) for n in sorted(extras or {})]
-    chunks = [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header)), header]
-    chunks.append(struct.pack("<I", len(arrays)))
-    chunks.extend(_pack_tensor(n, a) for n, a in arrays)
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    """Write a decoder, plus optional named extra arrays such as normalizer
+    statistics, as a model archive. Decoder arrays are stored as float32;
+    extras keep their dtype so that reload-and-evaluate is bitwise faithful."""
+    header = {"version": MODEL_VERSION, "spec": asdict(decoder.spec), "meta": meta or {}}
+    arrays = {n: a.astype(np.float32) if a.dtype == np.float64 else a for n, a in _stored_arrays(decoder)}
+    arrays.update((f"extra.{n}", np.asarray(extras[n])) for n in sorted(extras or {}))
+    if any(a.dtype.hasobject for a in arrays.values()):
+        raise ValueError("a model file holds arrays of numbers, not Python objects")
+    with open(path, "wb") as fh:  # a handle, so that numpy appends no .npz
+        np.savez(fh, header=np.array(json.dumps(header, sort_keys=True)), **arrays)
 
 
-def _read_tensor(r: _Reader) -> tuple[str, np.ndarray]:
-    (name_len,) = r.unpack("<H")
-    name = r.take(name_len).decode("utf-8")
-    ndim, code = r.unpack("<BB")
-    if code not in _DTYPE_CODES:
-        raise ModelLoadError(f"{r.path}: unknown tensor dtype code {code}")
-    shape = r.unpack(f"<{ndim}I") if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
-    dt = np.dtype(_DTYPE_CODES[code])
-    arr = np.frombuffer(r.take(count * dt.itemsize), dtype=dt).reshape(shape)
-    if code == 0:
-        return name, arr.astype(np.float64)
-    return name, arr.copy()
+def _archive_members(path) -> dict[str, np.ndarray]:
+    """Every array of a model archive. numpy checks a member's CRC-32 only if
+    it reads to the member's end, so every member is checked in full first."""
+    with open(path, "rb") as fh:
+        try:
+            archive = np.load(fh, allow_pickle=False)
+            if isinstance(archive, np.ndarray):
+                raise ModelLoadError(f"{path}: a bare .npy array, not a model archive")
+            with archive:
+                bad = archive.zip.testzip()
+                if bad is not None:
+                    raise ModelLoadError(f"{path}: bad CRC-32 for member {bad}")
+                return {name: archive[name] for name in archive.files}
+        except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as exc:
+            raise ModelLoadError(f"{path}: not a model archive ({exc})") from exc
 
 
-def _forest_from_arrays(spec: DecoderSpec, arrays: dict[str, np.ndarray], path) -> Decoder:
-    """The forest whose ``spec.n_trees`` trees were stored as named node
-    arrays, each cast back to its fitted dtype."""
-    if set(arrays) != {f"tree{i}.{field}" for i in range(spec.n_trees) for field in _TREE_FIELDS}:
-        raise ModelLoadError(f"{path}: stored trees do not match n_trees={spec.n_trees}")
-    trees = tuple(
-        Tree(**{field: arrays[f"tree{i}.{field}"].astype(dt) for field, dt in _TREE_FIELDS.items()})
-        for i in range(spec.n_trees)
-    )
+def _forest_from_arrays(spec: DecoderSpec, arrays: dict[str, np.ndarray]) -> Decoder:
+    """The forest whose trees' node fields were stored concatenated, cut back
+    at the stored node counts and cast to their fitted dtypes."""
+    n_nodes = arrays.get("forest.n_nodes", np.empty(0))
+    columns = {field: arrays.get(f"forest.{field}", np.empty(0)) for field in _TREE_FIELDS}
+    shapes = {c.shape for c in columns.values()}
+    if len(arrays) != len(columns) + 1 or n_nodes.shape != (spec.n_trees,) or shapes != {(n_nodes.sum(),)}:
+        raise SpecMismatchError(f"stored trees do not match n_trees={spec.n_trees}")
+    cuts = np.cumsum(n_nodes)[:-1]
+    columns = {field: np.split(columns[field].astype(dt), cuts) for field, dt in _TREE_FIELDS.items()}
+    trees = tuple(Tree(**{field: columns[field][i] for field in _TREE_FIELDS}) for i in range(spec.n_trees))
     fspec = ForestSpec(n_trees=spec.n_trees, max_depth=spec.max_depth, seed=spec.seed)
     return Decoder(spec, forest_model=Forest(fspec, spec.flat_dim, trees))
 
 
 def load_state(path):
-    """Read a model file back: (decoder, extras, meta)."""
-    r = _Reader(Path(path).read_bytes(), path)
-    if r.take(len(MODEL_MAGIC)) != MODEL_MAGIC:
-        raise ModelLoadError(f"{path}: bad magic, not a model file")
-    version, header_len = r.unpack("<II")
-    if version != MODEL_VERSION:
-        raise ModelLoadError(f"{path}: unsupported model version {version}")
+    """Read a model file back: (decoder, extras, meta). Any file that is not
+    an intact model archive of this version raises :class:`ModelLoadError`."""
+    arrays = _archive_members(path)
+    extras = {n[len("extra.") :]: arrays.pop(n) for n in list(arrays) if n.startswith("extra.")}
     try:
-        header = json.loads(r.take(header_len).decode("utf-8"))
+        header = json.loads(str(arrays.pop("header")))
+        if header["version"] != MODEL_VERSION:
+            raise ModelLoadError(f"{path}: unsupported model version {header['version']}")
         spec = _spec_from_json(header["spec"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ModelLoadError(f"{path}: corrupt header ({exc})")
-    (n_arrays,) = r.unpack("<I")
-    arrays: dict[str, np.ndarray] = {}
-    extras: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        name, arr = _read_tensor(r)
-        if name.startswith("extra."):
-            extras[name[len("extra.") :]] = arr
-        else:
-            arrays[name] = arr
-    if spec.family == "random_forest":
-        decoder = _forest_from_arrays(spec, arrays, path)
-    else:
+        if spec.family == "random_forest":
+            return _forest_from_arrays(spec, arrays), extras, header["meta"]
         decoder = Decoder(spec)
         decoder.load_arrays(arrays)
-    return decoder, extras, header.get("meta", {})
+        return decoder, extras, header["meta"]
+    except (ValueError, KeyError, TypeError, SpecMismatchError) as exc:
+        raise ModelLoadError(f"{path}: not a valid model file ({exc!r})") from exc
 
 
 def gradcheck_decoder(

@@ -5,14 +5,14 @@ epochs) so the whole file runs in seconds; the full-scale pipeline runs
 live in the acceptance suite.
 """
 
+import json
 import shutil
-import struct
 
 import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
-from locodec.decoders import MODEL_MAGIC
+from locodec.decoders import load_state
 from locodec.protocols import EvalResult, results_to_csv_text
 from locodec.sessions import ingest_session
 
@@ -148,20 +148,42 @@ def test_a_session_at_another_rate_exits_2(tmp_path, capsys):
     assert err.count("preprocess_raw") == 3
 
 
-def test_a_bad_model_file_exits_2(tmp_path, capsys):
+def _trained_model(tmp_path):
+    """A written 4-channel session and a linear model trained on it."""
     cfg = write_cfg(tmp_path, dataset__synthetic__n_channels="4")
     fleet_dir, train_dir = tmp_path / "fleet", tmp_path / "trained"
     assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet_dir)]) == 0
     assert entrypoint(["train", "--config", str(cfg), "--out", str(train_dir)]) == 0
-    blob = (train_dir / "rat01_s01.model").read_bytes()
+    return fleet_dir / "rat01_s01.bin", train_dir / "rat01_s01.model"
+
+
+def test_a_bad_model_file_exits_2(tmp_path, capsys):
+    session, model = _trained_model(tmp_path)
+    blob = model.read_bytes()
     truncated, old = tmp_path / "truncated.model", tmp_path / "v3.model"
     truncated.write_bytes(blob[: len(blob) // 2])
     # version 3 is the last format whose header spec names window_len
-    old.write_bytes(MODEL_MAGIC + struct.pack("<I", 3) + blob[len(MODEL_MAGIC) + 4 :])
+    with np.load(model, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(str(members["header"]))
+    header.update(version=3, spec={**header["spec"], "window_len": 20})
+    with open(old, "wb") as fh:
+        np.savez(fh, **{**members, "header": np.array(json.dumps(header))})
     for model in (truncated, old):
         capsys.readouterr()
-        assert entrypoint(["eval", str(model), str(fleet_dir / "rat01_s01.bin")]) == 2
+        assert entrypoint(["eval", str(model), str(session)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+def test_a_model_file_with_a_flipped_weight_byte_exits_2(tmp_path, capsys):
+    session, model = _trained_model(tmp_path)
+    weights = load_state(model)[0].params["head.w0"].data.astype(np.float32).tobytes()
+    blob = bytearray(model.read_bytes())
+    blob[blob.index(weights) + 3] ^= 0x01
+    model.write_bytes(bytes(blob))
+    capsys.readouterr()
+    assert entrypoint(["eval", str(model), str(session)]) == 2
+    assert "CRC-32" in capsys.readouterr().err
 
 
 def _train_then_eval_rows(tmp_path, **overrides):

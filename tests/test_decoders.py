@@ -4,8 +4,8 @@ Gradchecks here run on deliberately small specs so the whole file stays fast;
 the default-size families are exercised by the acceptance suite.
 """
 
+import json
 import math
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -280,12 +280,8 @@ def _fitted_forest(n_trees=5, seed=12):
 
 def _stored_tensors(path):
     """(name, array) of every array in a model file, as read back."""
-    r = dec._Reader(path.read_bytes(), path)
-    r.take(len(dec.MODEL_MAGIC))
-    _, header_len = r.unpack("<II")
-    r.take(header_len)
-    (n,) = r.unpack("<I")
-    return [dec._read_tensor(r) for _ in range(n)]
+    with np.load(path, allow_pickle=False) as archive:
+        return [(name, archive[name]) for name in archive.files if name != "header"]
 
 
 def test_save_load_predict_bitwise(tmp_path):
@@ -320,10 +316,23 @@ def test_forest_file_stores_named_tree_arrays(tmp_path):
     dec.save_state(d, path)
     stored = dict(_stored_tensors(path))
     fields = ("feature", "threshold", "left", "right", "value")
-    assert list(stored) == [f"tree{i}.{f}" for i in range(2) for f in fields]
-    for i in range(2):
-        for f in ("feature", "left", "right"):
-            assert stored[f"tree{i}.{f}"].dtype == np.int32
+    assert list(stored) == [f"forest.{f}" for f in fields] + ["forest.n_nodes"]
+    for f in ("feature", "left", "right", "n_nodes"):
+        assert stored[f"forest.{f}"].dtype == np.int32
+    trees = d.forest.trees
+    np.testing.assert_array_equal(stored["forest.n_nodes"], [t.n_nodes for t in trees])
+    for f in fields:
+        np.testing.assert_array_equal(stored[f"forest.{f}"], np.concatenate([getattr(t, f) for t in trees]))
+
+
+def test_forest_file_members_do_not_grow_with_the_tree_count(tmp_path):
+    counts = []
+    for n_trees in (2, 20):
+        path = tmp_path / f"forest{n_trees}.model"
+        dec.save_state(_fitted_forest(n_trees=n_trees), path)
+        assert dec.load_state(path)[0].spec.n_trees == n_trees
+        counts.append(len(_stored_tensors(path)))
+    assert counts[0] == counts[1]
 
 
 def test_forest_file_with_wrong_tree_count_rejected(tmp_path):
@@ -343,13 +352,15 @@ def test_unfitted_forest_cannot_be_saved(tmp_path):
 def test_version_1_file_rejected(tmp_path):
     path = tmp_path / "old.model"
     dec.save_state(dec.new_decoder(SMALL["linear"]), path)
-    current = path.read_bytes()
-    # version 2 files name four decoder fields that version 3 dropped, and
-    # version 3 files name window_len, which version 4 dropped
-    for version in (1, 2, 3):
-        blob = bytearray(current)
-        blob[len(dec.MODEL_MAGIC) : len(dec.MODEL_MAGIC) + 4] = struct.pack("<I", version)
-        path.write_bytes(bytes(blob))
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    header = json.loads(str(members["header"]))
+    # version 2 files name four decoder fields that version 3 dropped,
+    # version 3 files name window_len, which version 4 dropped, and version 4
+    # files are not archives
+    for version in (1, 2, 3, 4):
+        with open(path, "wb") as fh:
+            np.savez(fh, **{**members, "header": np.array(json.dumps({**header, "version": version}))})
         with pytest.raises(ModelLoadError, match=f"unsupported model version {version}"):
             dec.load_state(path)
 
@@ -373,6 +384,54 @@ def test_truncated_file_rejected(tmp_path):
     path.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(ModelLoadError):
         dec.load_state(path)
+
+
+def test_a_flipped_payload_byte_fails_the_crc_check(tmp_path):
+    d = dec.new_decoder(SMALL["ffnn"])
+    path = tmp_path / "f.model"
+    dec.save_state(d, path)
+    blob = bytearray(path.read_bytes())
+    blob[blob.index(d.params["body.w0"].data.astype(np.float32).tobytes()) + 5] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelLoadError, match="CRC-32"):
+        dec.load_state(path)
+
+
+def test_a_corrupted_member_shape_fails_the_crc_check(tmp_path):
+    # a shape shrunk in a large member's .npy header stops numpy's own read
+    # short of the member's end, where it would check the CRC
+    path = tmp_path / "s.model"
+    dec.save_state(dec.new_decoder(SMALL["linear"]), path, extras={"big": np.arange(2000.0)})
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"(2000,)", b"(1000,)"))
+    with pytest.raises(ModelLoadError, match="CRC-32"):
+        dec.load_state(path)
+
+
+def test_files_that_are_not_model_archives_rejected(tmp_path):
+    good = tmp_path / "good.model"
+    dec.save_state(dec.new_decoder(SMALL["lstm_rnn"]), good)
+    blob = good.read_bytes()
+    npy = tmp_path / "bare.model"
+    with open(npy, "wb") as fh:
+        np.save(fh, np.arange(4.0))
+    bad = {
+        "empty": b"",
+        "random": np.random.default_rng(0).bytes(512),
+        "bare": npy.read_bytes(),
+        "truncated": blob[: len(blob) - 40],
+    }
+    for name, content in bad.items():
+        path = tmp_path / f"{name}.model"
+        path.write_bytes(content)
+        with pytest.raises(ModelLoadError):
+            dec.load_state(path)
+
+
+def test_object_arrays_are_not_saved(tmp_path):
+    d = dec.new_decoder(SMALL["linear"])
+    with pytest.raises(ValueError, match="Python objects"):
+        dec.save_state(d, tmp_path / "o.model", extras={"tags": np.array([{"a": 1}], dtype=object)})
 
 
 def test_load_arrays_shape_mismatch():
