@@ -177,11 +177,14 @@ def _normalizer_extras(norm: Normalizer) -> dict:
     }
 
 
-def _normalizer_from_extras(extras: dict) -> Normalizer:
+def _normalizer_from_extras(extras: dict, path) -> Normalizer:
+    missing = [k for k in ("norm_mean", "norm_std", "norm_floored") if k not in extras]
+    if missing:
+        raise ModelLoadError(f"{path}: no normalizer statistics {', '.join(missing)}")
     return Normalizer(
         mean=np.asarray(extras["norm_mean"], dtype=np.float64),
         std=np.asarray(extras["norm_std"], dtype=np.float64),
-        floored=tuple(int(i) for i in np.asarray(extras.get("norm_floored", []), dtype=np.int64)),
+        floored=tuple(int(i) for i in np.asarray(extras["norm_floored"], dtype=np.int64)),
     )
 
 
@@ -231,7 +234,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     decoder, extras, meta = load_state(args.model)
     session = ingest_session(args.session)
-    normalizer = _normalizer_from_extras(extras)
+    normalizer = _normalizer_from_extras(extras, args.model)
     region = meta.get("region_set", "all")
     plan = ExperimentPlan(
         decoder=decoder.spec,

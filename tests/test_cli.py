@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from locodec.cli import entrypoint
-from locodec.decoders import load_state
+from locodec.decoders import load_state, save_state
 from locodec.protocols import EvalResult, results_to_csv_text
 from locodec.sessions import ingest_session
 
@@ -184,6 +184,16 @@ def test_a_model_file_with_a_flipped_weight_byte_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert entrypoint(["eval", str(model), str(session)]) == 2
     assert "CRC-32" in capsys.readouterr().err
+
+
+def test_a_model_file_without_normalizer_statistics_exits_2(tmp_path, capsys):
+    session, model = _trained_model(tmp_path)
+    decoder, extras, meta = load_state(model)
+    for missing in extras:
+        save_state(decoder, model, extras={k: v for k, v in extras.items() if k != missing}, meta=meta)
+        capsys.readouterr()
+        assert entrypoint(["eval", str(model), str(session)]) == 2
+        assert missing in capsys.readouterr().err
 
 
 def _train_then_eval_rows(tmp_path, **overrides):
