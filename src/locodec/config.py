@@ -232,8 +232,9 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
     kind = values["experiment.kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
-    if values["decoder.family"] not in FAMILIES:
-        raise ConfigError(f"decoder.family must be one of {FAMILIES}")
+    families = tuple(f for f in FAMILIES if f != "speed_rnn")  # speed_rnn is the speed-history reference
+    if values["decoder.family"] not in families:
+        raise ConfigError(f"decoder.family must be one of {families}")
     if values["plan.strategy"] not in STRATEGIES:
         raise ConfigError(f"plan.strategy must be one of {STRATEGIES}")
     if values["plan.strategy"] not in KIND_STRATEGIES[kind]:
@@ -243,11 +244,8 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
 
     try:
         fleet = FleetSpec(**_section(values, "dataset.synthetic."))
-        decoder = DecoderSpec(
-            **_section(values, "decoder."),
-            # fitting replaces this with the prepared session's channel count
-            n_channels=1 if values["decoder.family"] == "speed_rnn" else DecoderSpec.n_channels,
-        )
+        # fitting replaces n_channels with the prepared session's channel count
+        decoder = DecoderSpec(**_section(values, "decoder."))
         train_args = _section(values, "train.")
         del train_args["session"]  # the session `locodec train` fits, not a training setting
         train = TrainConfig(**train_args)

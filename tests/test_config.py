@@ -174,9 +174,10 @@ def test_hash_changes_with_any_value():
     assert base.config_hash != changed.config_hash
 
 
-def test_speed_rnn_family_forces_single_channel():
-    cfg = resolve({"decoder.family": "speed_rnn"})
-    assert cfg.decoder.n_channels == 1
+def test_speed_rnn_family_is_rejected():
+    # speed_rnn decodes speed history, not EEG; experiments add it as a reference
+    with pytest.raises(ConfigError, match="decoder.family"):
+        resolve({"decoder.family": "speed_rnn"})
 
 
 def test_optional_values_parse_none():
