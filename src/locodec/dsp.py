@@ -16,6 +16,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .errors import DegenerateDataError, FilterDesignError
+from .stats import pearson_r
 
 DEFAULT_NFFT = 128
 SPECTRA_FMAX_HZ = 45.0
@@ -282,15 +283,4 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(f"max_lag {max_lag} too large for series of length {x.size}")
     if np.ptp(x) == 0.0:
         raise DegenerateDataError("autocorrelation undefined for a constant series")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        a = x[: x.size - k]
-        b = x[k:]
-        da = a - a.mean()
-        db = b - b.mean()
-        denom = np.sqrt((da * da).sum() * (db * db).sum())
-        if denom == 0.0:
-            raise DegenerateDataError(f"autocorrelation degenerate at lag {k}: constant segment")
-        out[k] = float((da * db).sum() / denom)
-    return out
+    return np.array([1.0] + [pearson_r(x[: x.size - k], x[k:]) for k in range(1, max_lag + 1)])
