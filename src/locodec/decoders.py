@@ -338,12 +338,8 @@ def new_decoder(spec: DecoderSpec) -> Decoder:
     return Decoder(spec)
 
 
-def fit_forest_decoder(spec: DecoderSpec, x: np.ndarray, y: np.ndarray, seed: int | None = None) -> Decoder:
-    fspec = ForestSpec(
-        n_trees=spec.n_trees,
-        max_depth=spec.max_depth,
-        seed=spec.seed if seed is None else seed,
-    )
+def fit_forest_decoder(spec: DecoderSpec, x: np.ndarray, y: np.ndarray) -> Decoder:
+    fspec = ForestSpec(n_trees=spec.n_trees, max_depth=spec.max_depth, seed=spec.seed)
     return Decoder(spec, forest_model=forest_fit(_window_input(spec, x), y, fspec))
 
 

@@ -399,8 +399,6 @@ def transfer_pairs(sessions: list[Session], strategy: str) -> list[tuple[Session
     by_rat: dict[str, list[Session]] = {}
     for s in sessions:
         by_rat.setdefault(s.rat_id, []).append(s)
-    for members in by_rat.values():
-        members.sort(key=lambda s: s.id)
     rats = sorted(by_rat)
     pairs = []
     for src in sorted(sessions, key=lambda s: s.id):
