@@ -40,10 +40,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = self.name or "tensor"
-        return f"<{tag} shape={self.data.shape}>"
-
 
 def parameter(data, name: str) -> Tensor:
     """A trainable leaf. Copies its input so later graph ops cannot alias it."""

@@ -4,7 +4,10 @@ Five families share one window contract: every entry point
 (:meth:`Decoder.predict_batch`, :meth:`Decoder.loss_batch`,
 :func:`fit_forest_decoder`) takes time-major stacks of shape (n, 20, C),
 one scalar speed per window, and flat families flatten each window here and
-nowhere else. The families are a linear readout, a bagged CART forest, a
+nowhere else. The stacks from :func:`locodec.sessions.window_arrays` are
+read-only strided views; sequence families read them as they are, and flat
+families flatten them with one contiguous copy, because a reshaped view has
+overlapping rows that numpy's matmul does not pass to BLAS. The families are a linear readout, a bagged CART forest, a
 feedforward net on the flattened window, a single-layer LSTM over the 20
 steps, and a one-block encoder-style transformer (token projection,
 sinusoidal positions, bidirectional multi-head attention, a width-3
@@ -195,7 +198,12 @@ def _window_input(spec: DecoderSpec, x):
     """The family's input from a time-major window stack of shape (n,
     WINDOW_LEN, n_channels): flat families see each window flattened time
     first (sample 0's channels first), sequence families the stack itself.
-    Body rows pass through once their width is the head's."""
+    Body rows pass through once their width is the head's.
+
+    Flat families flatten a copy. On a strided window view (see
+    :func:`locodec.sessions.window_arrays`) a plain reshape is itself a view
+    whose rows overlap; numpy's matmul does not hand such an operand to
+    BLAS, and its own loop rounds differently."""
     if isinstance(x, BodyRows):
         width = _head_width(spec)
         if spec.family == "random_forest" or x.rows.ndim != 2 or x.rows.shape[1] != width:
@@ -209,7 +217,9 @@ def _window_input(spec: DecoderSpec, x):
             f"{spec.family} decoder takes (n, {WINDOW_LEN}, {spec.n_channels}) "
             f"window stacks, got shape {x.shape}"
         )
-    return x.reshape(len(x), spec.flat_dim) if spec.family in FLAT_FAMILIES else x
+    if spec.family in FLAT_FAMILIES:
+        return np.ascontiguousarray(x).reshape(len(x), spec.flat_dim)
+    return x
 
 
 class Decoder:

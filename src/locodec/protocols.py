@@ -198,14 +198,18 @@ def _split_windows(windows, rng: range, test: range, k: int, evaluate: bool = Fa
     """Windows of ``rng`` from the window source ``windows`` (range ->
     (starts, x, y)) that obey the fitting or, with ``evaluate``, the
     evaluation target rule of the module docstring, as (starts, x, y,
-    targets); ``k`` is the offset in samples. The unfiltered stacks are
-    freed on return."""
+    targets); ``k`` is the offset in samples.
+
+    Targets increase with the starts, and ``test`` ends the session, so no
+    target lies past it and either rule keeps one contiguous run of
+    windows. A slice selects it, and ``x`` stays a view of the source."""
     starts, x, y = windows(rng)
     targets = starts + WINDOW_LEN - 1 + k
     if evaluate:
-        keep = (targets >= test.start + WINDOW_LEN - 1) & (targets < test.stop)
+        lo, hi = np.searchsorted(targets, (test.start + WINDOW_LEN - 1, test.stop))
     else:
-        keep = (targets < test.start) | (targets >= test.stop)
+        lo, hi = 0, np.searchsorted(targets, test.start)
+    keep = slice(lo, hi)
     return starts[keep], x[keep], y[keep], targets[keep]
 
 

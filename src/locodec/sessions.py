@@ -13,6 +13,10 @@ recordings to it, and a :class:`Session` at any other rate is rejected), so
 one sample is :data:`STRIDE_MS` (10 ms), a window of :data:`WINDOW_LEN`
 samples spans 200 ms, and :func:`offset_samples_for` is the one rule that
 turns milliseconds into samples.
+
+Window stacks (:func:`window_arrays`, :func:`speed_window_arrays`) are
+read-only strided views over one time-major copy of the samples they cover,
+so a sample is stored once however many windows hold it.
 """
 
 from __future__ import annotations
@@ -494,23 +498,29 @@ def _window_stack(
     """The one windowing rule: every window of ``signal`` (C, T) whose
     samples lie inside ``index_range`` and whose target index, the window's
     final sample shifted by ``k`` samples, lies inside the trace. Returns
-    (starts, X, y) with X of shape (n, WINDOW_LEN, C), time-major."""
+    (starts, X, y) with X of shape (n, WINDOW_LEN, C), time-major.
+
+    X is a read-only strided view over one time-major copy (T, C) of the
+    samples the windows cover, so each sample is stored once, not once per
+    window. Each window ``X[i]`` is one contiguous (WINDOW_LEN, C) block and
+    each step ``X[:, t, :]`` a row-major (n, C) matrix; ``np.array(X)``
+    gives a writable copy."""
     starts = np.arange(index_range.start, index_range.stop - WINDOW_LEN + 1, dtype=np.int64)
     targets = starts + WINDOW_LEN - 1 + k
     keep = (targets >= 0) & (targets < target.size)
     starts, targets = starts[keep], targets[keep]
     if starts.size == 0:
         return starts, np.empty((0, WINDOW_LEN, signal.shape[0])), np.empty((0,))
-    view = np.lib.stride_tricks.sliding_window_view(signal, WINDOW_LEN, axis=1)
-    x = view[:, starts, :].transpose(1, 2, 0).copy()  # (n, WINDOW_LEN, C)
-    return starts, x, target[targets].copy()
+    rows = np.ascontiguousarray(signal[:, starts[0] : starts[-1] + WINDOW_LEN].T)
+    x = np.lib.stride_tricks.sliding_window_view(rows, WINDOW_LEN, axis=0).transpose(0, 2, 1)
+    return starts, x, target[targets]
 
 
 def window_arrays(
     s: Session, index_range: range, offset_ms: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Windows over the session's EEG with speed targets: (starts, X, y),
-    X of shape (n, WINDOW_LEN, C) time-major."""
+    X a read-only view of shape (n, WINDOW_LEN, C), time-major."""
     return _window_stack(s.eeg, s.speed, index_range, offset_samples_for(offset_ms))
 
 

@@ -14,7 +14,9 @@ import pytest
 from locodec import autodiff as ad
 from locodec import decoders as dec
 from locodec.errors import ModelLoadError, ShapeError, SpecMismatchError
-from locodec.sessions import WINDOW_LEN
+from locodec.sessions import WINDOW_LEN, window_arrays
+
+from conftest import make_session
 
 SMALL = {
     "linear": dec.DecoderSpec(family="linear", n_channels=3),
@@ -534,6 +536,47 @@ def test_body_rows_predict_like_the_window_stack(family):
     assert rows.shape == (37, dec._head_width(spec)) and len(rows) == 37
     assert d.predict_batch(rows).tobytes() == d.predict_batch(x).tobytes()
     assert all(t.grad is None for t in d.params.values())
+
+
+def _window_view(n_channels, n=37, seed=6):
+    """A window stack as sessions builds it: a read-only strided view."""
+    session = make_session(n_channels=n_channels, n_samples=n + WINDOW_LEN - 1, seed=seed)
+    _, x, y = window_arrays(session, range(session.n_samples))
+    assert not x.flags.c_contiguous and not x.flags.writeable
+    return x, y
+
+
+@pytest.mark.parametrize("family", dec.FAMILIES)
+def test_a_window_view_decodes_like_its_contiguous_copy(family):
+    """Every entry point gives the same bits on a strided window view as on
+    a contiguous copy of it. A flat family's plain reshape of the view has
+    overlapping rows, which numpy's matmul computes outside BLAS and rounds
+    differently."""
+    if family == "random_forest":
+        spec = dec.DecoderSpec(family=family, n_channels=3, n_trees=3, max_depth=4)
+        x, y = _window_view(spec.n_channels)
+        fits = [dec.fit_forest_decoder(spec, inputs, y) for inputs in (x, np.ascontiguousarray(x))]
+        assert fits[0].checksum() == fits[1].checksum()
+        assert fits[0].predict_batch(x).tobytes() == fits[0].predict_batch(np.ascontiguousarray(x)).tobytes()
+        return
+    spec = SMALL[family]
+    d = _perturbed(spec)
+    params = d.param_list()
+    x, y = _window_view(spec.n_channels)
+    results = []
+    for inputs in (x, np.ascontiguousarray(x)):
+        loss = d.loss_batch(inputs, y)
+        ad.backward(loss, params)
+        results.append(
+            (
+                d.predict_batch(inputs).tobytes(),
+                d.body_rows(inputs).rows.tobytes(),
+                loss.data.tobytes(),
+                [t.grad.tobytes() for t in params],
+            )
+        )
+        ad.zero_grads(params)
+    assert results[0] == results[1]
 
 
 # the ids keep the case names from when a dropout rate was a second parameter

@@ -22,6 +22,7 @@ from locodec.protocols import (
     EvalResult,
     ExperimentOutput,
     ExperimentPlan,
+    STRATEGIES,
     HygieneRecord,
     UnitFailure,
     _map_jobs,
@@ -164,6 +165,34 @@ def test_fit_windows_never_target_the_test_range(offset_ms):
         assert not np.any((targets >= test.start) & (targets < test.stop))
         assert x.shape[1:] == (WINDOW_LEN, session.n_channels)
         np.testing.assert_array_equal(y, session.speed[targets])
+
+
+@pytest.mark.parametrize("offset_ms", [-500, 0, 500])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_split_windows_are_views_of_the_mask_rule_windows(strategy, offset_ms):
+    """Each split keeps the windows the target rule's mask picks, bitwise,
+    as a view of its window source rather than a copy."""
+    session = _norm_session()
+    fit, val, test = strategy_ranges(strategy, session.n_samples)
+    k = offset_samples_for(offset_ms)
+    for rng, evaluate in ((fit, False), (val, False), (test, True)):
+        made = []
+
+        def source(r):
+            made.append(window_arrays(session, r, offset_ms))
+            return made[-1]
+
+        got = _split_windows(source, rng, test, k, evaluate=evaluate)
+        (src_starts, src_x, src_y), = made
+        src_targets = src_starts + WINDOW_LEN - 1 + k
+        if evaluate:
+            keep = (src_targets >= test.start + WINDOW_LEN - 1) & (src_targets < test.stop)
+        else:
+            keep = (src_targets < test.start) | (src_targets >= test.stop)
+        assert got[0].size > 0
+        for a, b in zip(got, (src_starts, src_x, src_y, src_targets)):
+            assert a.shape == b[keep].shape and a.tobytes() == b[keep].tobytes()
+        assert np.shares_memory(got[1], src_x)
 
 
 # ---------------------------------------------------------------------------

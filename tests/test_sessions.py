@@ -1,6 +1,7 @@
 """Session model, file formats, gate, splits, normalization, windowing."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,59 @@ def test_speed_windows_are_the_shared_core_on_one_channel(off):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def _materialized_window_stack(signal, target, index_range, k):
+    """Reference: the window stack gathered from a view over the session
+    and copied out, one (WINDOW_LEN, C) block per window."""
+    starts = np.arange(index_range.start, index_range.stop - ss.WINDOW_LEN + 1, dtype=np.int64)
+    targets = starts + ss.WINDOW_LEN - 1 + k
+    keep = (targets >= 0) & (targets < target.size)
+    starts, targets = starts[keep], targets[keep]
+    if starts.size == 0:
+        return starts, np.empty((0, ss.WINDOW_LEN, signal.shape[0])), np.empty((0,))
+    view = np.lib.stride_tricks.sliding_window_view(signal, ss.WINDOW_LEN, axis=1)
+    x = view[:, starts, :].transpose(1, 2, 0).copy()
+    return starts, x, target[targets].copy()
+
+
+@pytest.mark.parametrize("n_channels", [1, 32])
+@pytest.mark.parametrize("where", [range(0, 200), range(200, 400), range(400, 600)], ids=["start", "middle", "end"])
+@pytest.mark.parametrize("offset_ms", [-1000, -100, 0, 200, 1000])
+def test_window_views_equal_materialized_stacks(offset_ms, where, n_channels):
+    s = make_session(n_channels=n_channels, n_samples=600, seed=7)
+    got = ss.window_arrays(s, where, offset_ms=offset_ms)
+    want = _materialized_window_stack(s.eeg, s.speed, where, ss.offset_samples_for(offset_ms))
+    assert got[0].size > 0
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_window_stacks_are_read_only(session):
+    for _, x, _ in (
+        ss.window_arrays(session, range(0, 100)),
+        ss.speed_window_arrays(session.speed, range(0, 100)),
+    ):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+
+
+def test_window_stack_memory_is_one_copy_of_its_range():
+    """A stack holds each sample once: building the windows of a range
+    allocates about that range's bytes, not WINDOW_LEN times them."""
+    s = make_session(n_channels=32, n_samples=60_000, seed=3)
+    fit = ss.split_ranges(s.n_samples)[0]
+    range_bytes = s.n_channels * len(fit) * 8
+    tracemalloc.start()
+    try:
+        starts, _, _ = ss.window_arrays(s, fit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts.size == len(fit) - ss.WINDOW_LEN + 1
+    assert peak < 2 * range_bytes, f"peak {peak} B for a {range_bytes} B range"
 
 
 @settings(max_examples=120, deadline=None)
