@@ -5,13 +5,15 @@ Five families share one window contract: every entry point
 :func:`fit_forest_decoder`) takes time-major stacks of shape (n, 20, C),
 one scalar speed per window, and flat families flatten each window here and
 nowhere else. The stacks from :func:`locodec.sessions.window_arrays` are
-read-only strided views; sequence families read them as they are, and flat
-families flatten them with one contiguous copy, because a reshaped view has
-overlapping rows that numpy's matmul does not pass to BLAS. The families are a linear readout, a bagged CART forest, a
-feedforward net on the flattened window, a single-layer LSTM over the 20
-steps, and a one-block encoder-style transformer (token projection,
-sinusoidal positions, bidirectional multi-head attention, a width-3
-convolution over tokens, dense head). Each trainable family runs one batch
+read-only strided views. Sequence families read them as they are; flat
+families flatten a contiguous copy, because a reshaped view has overlapping
+rows, which numpy's matmul runs outside BLAS with different rounding.
+
+The families are a linear readout, a bagged CART forest, a feedforward net
+on the flattened window, a single-layer LSTM over the 20 steps, and a
+one-block encoder-style transformer (token projection, sinusoidal
+positions, bidirectional multi-head attention, a width-3 convolution over
+tokens, dense head). Each trainable family runs one batch
 forward on the package's own autodiff graph, whose ops take window stacks;
 prediction runs the same forward on constant views of the parameters, so it
 builds no graph. The forest is fitted greedily and wrapped behind the same
@@ -198,12 +200,7 @@ def _window_input(spec: DecoderSpec, x):
     """The family's input from a time-major window stack of shape (n,
     WINDOW_LEN, n_channels): flat families see each window flattened time
     first (sample 0's channels first), sequence families the stack itself.
-    Body rows pass through once their width is the head's.
-
-    Flat families flatten a copy. On a strided window view (see
-    :func:`locodec.sessions.window_arrays`) a plain reshape is itself a view
-    whose rows overlap; numpy's matmul does not hand such an operand to
-    BLAS, and its own loop rounds differently."""
+    Body rows pass through once their width is the head's."""
     if isinstance(x, BodyRows):
         width = _head_width(spec)
         if spec.family == "random_forest" or x.rows.ndim != 2 or x.rows.shape[1] != width:
@@ -218,6 +215,7 @@ def _window_input(spec: DecoderSpec, x):
             f"window stacks, got shape {x.shape}"
         )
     if spec.family in FLAT_FAMILIES:
+        # a copy: a reshaped window view has overlapping rows (module docstring)
         return np.ascontiguousarray(x).reshape(len(x), spec.flat_dim)
     return x
 
