@@ -555,9 +555,10 @@ def test_a_window_view_decodes_like_its_contiguous_copy(family):
     if family == "random_forest":
         spec = dec.DecoderSpec(family=family, n_channels=3, n_trees=3, max_depth=4)
         x, y = _window_view(spec.n_channels)
-        fits = [dec.fit_forest_decoder(spec, inputs, y) for inputs in (x, np.ascontiguousarray(x))]
+        stacks = (x, np.ascontiguousarray(x))
+        fits = [dec.fit_forest_decoder(spec, inputs, y) for inputs in stacks]
         assert fits[0].checksum() == fits[1].checksum()
-        assert fits[0].predict_batch(x).tobytes() == fits[0].predict_batch(np.ascontiguousarray(x)).tobytes()
+        assert fits[0].predict_batch(stacks[0]).tobytes() == fits[0].predict_batch(stacks[1]).tobytes()
         return
     spec = SMALL[family]
     d = _perturbed(spec)

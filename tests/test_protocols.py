@@ -19,10 +19,10 @@ from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from locodec.protocols import (
     DEFAULT_OFFSETS_MS,
+    STRATEGIES,
     EvalResult,
     ExperimentOutput,
     ExperimentPlan,
-    STRATEGIES,
     HygieneRecord,
     UnitFailure,
     _map_jobs,

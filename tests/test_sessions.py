@@ -446,7 +446,9 @@ def _materialized_window_stack(signal, target, index_range, k):
 
 
 @pytest.mark.parametrize("n_channels", [1, 32])
-@pytest.mark.parametrize("where", [range(0, 200), range(200, 400), range(400, 600)], ids=["start", "middle", "end"])
+@pytest.mark.parametrize(
+    "where", [range(0, 200), range(200, 400), range(400, 600)], ids=["start", "middle", "end"]
+)
 @pytest.mark.parametrize("offset_ms", [-1000, -100, 0, 200, 1000])
 def test_window_views_equal_materialized_stacks(offset_ms, where, n_channels):
     s = make_session(n_channels=n_channels, n_samples=600, seed=7)
