@@ -152,9 +152,15 @@ def tanh(a: Tensor) -> Tensor:
     return _node(data, (a,), backward_fn)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function computed via the tanh identity for stability."""
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function computed via the tanh identity for stability:
+    0.5 * (tanh(0.5 * z) + 1), evaluated in place in ``out`` (which may be
+    ``z``) or in one new array."""
+    s = np.multiply(z, 0.5, out=out)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -276,11 +282,26 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     along the 4H columns of wx (C, 4H), wh (H, 4H) and b (4H,).
 
     One node with hand-written backpropagation through time in place of the
-    ~15 matmul/add/narrow/sigmoid/tanh/mul nodes per step. It does the same
-    float operations, and the steps' gradients reach wx, wh and b in the
-    same order (last step first), so values and gradients are bitwise the
-    same as the composite graph's. The steps' activations are saved for
-    that backward pass only when wx, wh or b needs a gradient.
+    ~15 matmul/add/narrow/sigmoid/tanh/mul nodes per step. A step makes one
+    sigmoid call over all 4H gate columns (the cell columns' sigmoid goes
+    unused) and one tanh call over the cell columns, and reads the input,
+    forget and output gates as column views: at a batch of one, the number
+    of numpy calls, not arithmetic, sets the cost. Backward writes the
+    gates' upstream gradients into one (N, 4H) buffer, applies the sigmoid
+    derivative over its full width, then overwrites the cell columns with
+    the tanh derivative.
+
+    The layout changes no bit. Every element goes through the composite
+    graph's float operations in the same association order; sums and
+    products round exactly whatever the memory layout, and numpy's tanh
+    gives the same bits on a packed row as on a copied gate slice. Each
+    weight's gradient is summed over the steps, last step first as the
+    composite graph accumulates it, and accumulated once. So values and
+    gradients are bitwise the composite graph's whenever wx, wh and b enter
+    the backward pass without a gradient, as after ``zero_grads``;
+    ``test_lstm_sequence_matches_the_composite_graph_bitwise`` pins this at
+    the shapes the decoders run. The steps' activations are saved for that
+    backward pass only when wx, wh or b needs a gradient.
     """
     x = np.asarray(x, dtype=np.float64)
     hdim = wh.data.shape[0]
@@ -288,46 +309,61 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 3 or shapes != ((x.shape[2], 4 * hdim), (hdim, 4 * hdim), (4 * hdim,)):
         raise ShapeError(f"lstm_sequence: incompatible shapes x {x.shape} and wx, wh, b {shapes}")
     n, t_len, _ = x.shape
+    i_cols, f_cols = slice(0, hdim), slice(hdim, 2 * hdim)
+    g_cols, o_cols = slice(2 * hdim, 3 * hdim), slice(3 * hdim, 4 * hdim)
     h = np.zeros((n, hdim))
     c = np.zeros((n, hdim))
     steps = []
     keep_steps = wx.requires_grad or wh.requires_grad or b.requires_grad
     for t in range(t_len):
-        gates = (x[:, t, :] @ wx.data + h @ wh.data) + b.data
-        # gate slices are copied, as narrow() does, so the activations run
-        # on the same contiguous layout as in the composite graph
-        i_g = _sigmoid(gates[:, :hdim].copy())
-        f_g = _sigmoid(gates[:, hdim : 2 * hdim].copy())
-        g_g = np.tanh(gates[:, 2 * hdim : 3 * hdim].copy())
-        o_g = _sigmoid(gates[:, 3 * hdim :].copy())
+        gates = x[:, t, :] @ wx.data
+        gates += h @ wh.data
+        gates += b.data
+        g_g = np.tanh(gates[:, g_cols])
+        sig = _sigmoid(gates, out=gates)
         c_prev, h_prev = c, h
-        c = f_g * c_prev + i_g * g_g
+        c = sig[:, f_cols] * c_prev
+        c += sig[:, i_cols] * g_g
         tc = np.tanh(c)
-        h = o_g * tc
+        h = sig[:, o_cols] * tc
         if keep_steps:
-            steps.append((h_prev, c_prev, i_g, f_g, g_g, o_g, tc))
+            steps.append((h_prev, c_prev, sig, g_g, tc))
+        del gates, sig  # free for the next step's gates, unless saved
 
     def backward_fn(gh):
         dc_next = None
+        gwx = gwh = gb = None
         for t in range(t_len - 1, -1, -1):
-            h_prev, c_prev, i_g, f_g, g_g, o_g, tc = steps[t]
-            dc = gh * o_g * (1.0 - tc * tc)
+            h_prev, c_prev, sig, g_g, tc = steps[t]
+            i_g, f_g = sig[:, i_cols], sig[:, f_cols]
+            dc = gh * sig[:, o_cols] * (1.0 - tc * tc)
             if dc_next is not None:
-                dc = dc + dc_next
+                dc += dc_next
             dc_next = dc * f_g
+            # upstream gradients of the activations, then their derivatives
             dgates = np.empty((n, 4 * hdim))
-            dgates[:, :hdim] = dc * g_g * i_g * (1.0 - i_g)
-            dgates[:, hdim : 2 * hdim] = dc * c_prev * f_g * (1.0 - f_g)
-            dgates[:, 2 * hdim : 3 * hdim] = dc * i_g * (1.0 - g_g * g_g)
-            dgates[:, 3 * hdim :] = gh * tc * o_g * (1.0 - o_g)
+            np.multiply(dc, g_g, out=dgates[:, i_cols])
+            np.multiply(dc, c_prev, out=dgates[:, f_cols])
+            np.multiply(dc, i_g, out=dgates[:, g_cols])
+            np.multiply(gh, tc, out=dgates[:, o_cols])
+            d_cell = dgates[:, g_cols] * (1.0 - g_g * g_g)
+            dgates *= sig
+            dgates *= 1.0 - sig
+            dgates[:, g_cols] = d_cell
             if b.requires_grad:
-                _accum(b, _unbroadcast(dgates, b.data.shape))
+                gb_t = _unbroadcast(dgates, b.data.shape)
+                gb = gb_t if gb is None else gb + gb_t
             if wx.requires_grad:
-                _accum(wx, x[:, t, :].T @ dgates)
+                gwx_t = x[:, t, :].T @ dgates
+                gwx = gwx_t if gwx is None else gwx + gwx_t
             if wh.requires_grad:
-                _accum(wh, h_prev.T @ dgates)
+                gwh_t = h_prev.T @ dgates
+                gwh = gwh_t if gwh is None else gwh + gwh_t
             if t > 0:
                 gh = dgates @ wh.data.T
+        for w, gw in ((wx, gwx), (wh, gwh), (b, gb)):
+            if gw is not None:
+                _accum(w, gw)
 
     return _node(h, (wx, wh, b), backward_fn)
 

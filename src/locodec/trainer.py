@@ -90,16 +90,28 @@ class _Adam:
         self.t = 0
 
     def step(self, params: list[ad.Tensor]) -> None:
+        """m = β1·m + (1 − β1)·g, v = β2·v + ((1 − β2)·g)·g and
+        p −= (lr·(m / b1t)) / (√(v / b2t) + ε), updated in place in that
+        operation order, so the bits are those of the out-of-place formula.
+        Writing into ``p.data`` is safe because nothing outlives a step
+        holding it: checkpoints and clones copy, and inference wraps it only
+        for one prediction."""
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        for i, p in enumerate(params):
+        for p, m, v in zip(params, self.m, self.v):
             g = p.grad
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            p.data = p.data - self.learning_rate * (self.m[i] / b1t) / (
-                np.sqrt(self.v[i] / b2t) + ADAM_EPS
-            )
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            step = m / b1t
+            step *= self.learning_rate
+            den = v / b2t
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            step /= den
+            p.data -= step
 
 
 def _val_loss(decoder: Decoder, x_val: np.ndarray, y_val: np.ndarray) -> float:

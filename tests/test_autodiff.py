@@ -242,7 +242,21 @@ def _composite_lstm(x, wx, wh, bias):
     return h
 
 
-@pytest.mark.parametrize("n, t_len, cin, hid", [(1, 1, 1, 1), (5, 20, 3, 6), (32, 20, 32, 64), (7, 4, 1, 32)])
+# (1, 20, 32, 32) is a single-window readout, (32, 20, 1, 32) a speed_rnn
+# batch and (400, 20, 32, 16) a stack of transfer body rows
+LSTM_SHAPES = [
+    (1, 1, 1, 1),
+    (5, 20, 3, 6),
+    (32, 20, 32, 64),
+    (7, 4, 1, 32),
+    (1, 20, 32, 32),
+    (2, 20, 32, 32),
+    (32, 20, 1, 32),
+    (400, 20, 32, 16),
+]
+
+
+@pytest.mark.parametrize("n, t_len, cin, hid", LSTM_SHAPES)
 def test_lstm_sequence_matches_the_composite_graph_bitwise(n, t_len, cin, hid):
     rng = RNG(n * 1000 + t_len)
     x = rng.normal(size=(n, t_len, cin))
@@ -257,6 +271,17 @@ def test_lstm_sequence_matches_the_composite_graph_bitwise(n, t_len, cin, hid):
     assert h_fused.tobytes() == h_ref.tobytes()
     for got, want in zip(g_fused, g_ref):
         assert np.array_equal(got, want)
+
+
+def test_lstm_sequence_on_constants_matches_the_composite_forward_bitwise():
+    # the readout shape: one window, 32 channels, hidden 32
+    x = RNG(20).normal(size=(1, 20, 32))
+    weights = [ad.constant(p.data) for p in _lstm_params(RNG(32), 32, 32)[:3]]
+    h_ref = _composite_lstm(x, *weights)
+    h = ad.lstm_sequence(x, *weights)
+    assert h.data.tobytes() == h_ref.data.tobytes()
+    # no graph: nothing holds the steps' activations past the call
+    assert not h.requires_grad and h.parents == () and h.backward_fn is None
 
 
 def test_gradcheck_lstm_sequence():

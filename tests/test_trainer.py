@@ -177,6 +177,65 @@ def test_fine_tune_on_body_rows_matches_the_per_batch_loop(family):
     assert tuned.checksum() == reference.checksum()
 
 
+class _OutOfPlaceAdam:
+    """Reference: Adam with every update written to a new array."""
+
+    def __init__(self, params, learning_rate):
+        self.learning_rate = learning_rate
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+        self.t = 0
+
+    def step(self, params):
+        self.t += 1
+        b1t = 1.0 - trainer.ADAM_BETA1**self.t
+        b2t = 1.0 - trainer.ADAM_BETA2**self.t
+        for i, p in enumerate(params):
+            g = p.grad
+            self.m[i] = trainer.ADAM_BETA1 * self.m[i] + (1.0 - trainer.ADAM_BETA1) * g
+            self.v[i] = trainer.ADAM_BETA2 * self.v[i] + (1.0 - trainer.ADAM_BETA2) * g * g
+            p.data = p.data - self.learning_rate * (self.m[i] / b1t) / (
+                np.sqrt(self.v[i] / b2t) + trainer.ADAM_EPS
+            )
+
+
+def test_in_place_adam_steps_like_the_out_of_place_formula():
+    rng = np.random.default_rng(16)
+    shapes = [(20, 8), (8,), (1, 1)]
+    start = [rng.normal(size=s) for s in shapes]
+    params = [ad.parameter(a, "p") for a in start]
+    reference = [ad.parameter(a, "p") for a in start]
+    opt, ref_opt = trainer._Adam(params, 1e-2), _OutOfPlaceAdam(reference, 1e-2)
+    for _ in range(6):
+        for p, q in zip(params, reference):
+            p.grad = q.grad = rng.normal(size=p.data.shape) * rng.choice([1e-6, 1.0, 1e3])
+        opt.step(params)
+        ref_opt.step(reference)
+        for got, want in zip(
+            [p.data for p in params] + opt.m + opt.v, [q.data for q in reference] + ref_opt.m + ref_opt.v
+        ):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("freeze_body", [False, True])
+@pytest.mark.parametrize("family", ["ffnn", "lstm_rnn"])
+def test_in_place_adam_trains_like_the_out_of_place_formula(family, freeze_body, monkeypatch):
+    """Whole runs whose best epoch is not the last, so that a checkpoint or
+    anything else holding a parameter array across a step would show."""
+    spec = FROZEN_SPECS[family]
+    x, y = _window_problem(spec, n=100, seed=14, noise=0.3)
+    cfg = trainer.TrainConfig(
+        max_epochs=6, batch_size=16, learning_rate=0.1, patience=6, freeze_body=freeze_body, shuffle_seed=15
+    )
+    runs = []
+    for adam in (trainer._Adam, _OutOfPlaceAdam):
+        monkeypatch.setattr(trainer, "_Adam", adam)
+        fitted, report = trainer.train(new_decoder(spec), x[:80], y[:80], x[80:], y[80:], cfg)
+        runs.append((fitted.checksum(), [(r.train_loss, r.val_loss) for r in report.history]))
+    assert report.n_epochs_run == cfg.max_epochs and report.best_epoch < cfg.max_epochs
+    assert runs[0] == runs[1]
+
+
 def test_fine_tune_requires_freeze():
     x, y = _window_problem(LIN, n=50, seed=8)
     with pytest.raises(ValueError):
