@@ -90,12 +90,10 @@ class _Adam:
         self.t = 0
 
     def step(self, params: list[ad.Tensor]) -> None:
-        """m = β1·m + (1 − β1)·g, v = β2·v + ((1 − β2)·g)·g and
-        p −= (lr·(m / b1t)) / (√(v / b2t) + ε), updated in place in that
-        operation order, so the bits are those of the out-of-place formula.
-        Writing into ``p.data`` is safe because nothing outlives a step
-        holding it: checkpoints and clones copy, and inference wraps it only
-        for one prediction."""
+        """Update the moments and parameters in place, each expression in
+        the out-of-place formula's operation order, so the bits are the
+        same. Nothing holds a ``p.data`` across a step: checkpoints and
+        clones copy it, and inference wraps it for one prediction only."""
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
@@ -105,13 +103,7 @@ class _Adam:
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * g * g
-            step = m / b1t
-            step *= self.learning_rate
-            den = v / b2t
-            np.sqrt(den, out=den)
-            den += ADAM_EPS
-            step /= den
-            p.data -= step
+            p.data -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def _val_loss(decoder: Decoder, x_val: np.ndarray, y_val: np.ndarray) -> float:
