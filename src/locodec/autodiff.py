@@ -335,16 +335,15 @@ def lstm_sequence(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         gwx = gwh = gb = None
         for t in range(t_len - 1, -1, -1):
             h_prev, c_prev, sig, g_g, tc = steps[t]
-            i_g, f_g = sig[:, i_cols], sig[:, f_cols]
             dc = gh * sig[:, o_cols] * (1.0 - tc * tc)
             if dc_next is not None:
                 dc += dc_next
-            dc_next = dc * f_g
+            dc_next = dc * sig[:, f_cols]
             # upstream gradients of the activations, then their derivatives
             dgates = np.empty((n, 4 * hdim))
             np.multiply(dc, g_g, out=dgates[:, i_cols])
             np.multiply(dc, c_prev, out=dgates[:, f_cols])
-            np.multiply(dc, i_g, out=dgates[:, g_cols])
+            np.multiply(dc, sig[:, i_cols], out=dgates[:, g_cols])
             np.multiply(gh, tc, out=dgates[:, o_cols])
             d_cell = dgates[:, g_cols] * (1.0 - g_g * g_g)
             dgates *= sig
