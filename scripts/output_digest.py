@@ -8,7 +8,7 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- twelve experiments, each followed by ``report``: ``baseline`` (ffnn,
+- fourteen experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
   quadratic fit has a row), ``finetune_cross_subject``,
@@ -16,7 +16,10 @@ runs, in-process, one fixed set of commands on a 2-rat x 2-session,
   ``baseline``, a ``transformer_encoder`` baseline, and three fine-tunes of
   families with a frozen body: ``lstm_rnn`` with
   ``finetune_cross_subject``, and ``ffnn`` and ``transformer_encoder``
-  with ``finetune_cross_session``;
+  with ``finetune_cross_session``; then a ``regions`` run and a
+  ``finetune_cross_session`` transfer on a 3-rat fleet of seed 3, where
+  ``rat01_s01``'s test speed is constant, so that the failed units and
+  the order of ``failures.csv`` are compared too;
 - ``synth``, then ``train`` in the ``theta`` band on one written session;
 - ``synth --seed``, the form of ``synth`` the benchmark runs;
 - ``synth --format canonical_csv``, then ``ingest`` of those CSV files, so
@@ -65,6 +68,9 @@ FLEET = {
     "train.patience": "2",
 }
 
+# rat01_s01's test speed is constant on this fleet, so its units fail
+FAILING_FLEET = {"dataset.synthetic.seed": "3", "dataset.synthetic.n_rats": "3"}
+
 EXPERIMENTS = {
     "baseline": {"decoder.family": "ffnn", "plan.clip_nonnegative": "true"},
     "forest": {"decoder.family": "random_forest", "decoder.n_trees": "4", "decoder.max_depth": "4"},
@@ -84,6 +90,8 @@ EXPERIMENTS = {
         "decoder.embed_dim": "8",
         "decoder.n_heads": "2",
     },
+    "regions_failures": {"experiment.kind": "regions", **FAILING_FLEET},
+    "finetune_failures": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_session", **FAILING_FLEET},
 }
 
 

@@ -13,6 +13,12 @@ execution order, and configurations that are definitionally identical to
 the all-channels/fullband/offset-0 baseline hash to the same seeds and
 therefore reproduce it bitwise.
 
+Each experiment kind builds one flat list of units, ``(kind, unit_id,
+cell_id, worker, args)``, and runs it with one :func:`_map_jobs` call per
+phase; transfer has two, sources over the worker pool and then pairs in
+this process. Rows, hygiene records, timings and failures are kept in unit
+order, so no output depends on scheduling.
+
 Window bookkeeping at nonzero offsets follows two rules. Fitting windows
 (train/validation/fine-tune) may keep shifted targets that fall in earlier
 non-test segments but never a target inside the test range. Evaluated test
@@ -27,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -400,21 +407,10 @@ def transfer_pairs(sessions: list[Session], strategy: str) -> list[tuple[Session
     """(source, target) pairs in canonical order, count-checked against the
     roster formulas."""
     cross_session = strategy in ("zeroshot_cross_session", "finetune_cross_session")
-    by_rat: dict[str, list[Session]] = {}
-    for s in sessions:
-        by_rat.setdefault(s.rat_id, []).append(s)
-    rats = sorted(by_rat)
-    pairs = []
-    for src in sorted(sessions, key=lambda s: s.id):
-        for tgt in sorted(sessions, key=lambda s: s.id):
-            if src.id == tgt.id:
-                continue
-            same_rat = src.rat_id == tgt.rat_id
-            if cross_session and same_rat:
-                pairs.append((src, tgt))
-            elif not cross_session and not same_rat:
-                pairs.append((src, tgt))
-    expected = expected_evaluation_count([len(by_rat[r]) for r in rats], strategy)
+    roster = sorted(sessions, key=lambda s: s.id)
+    pairs = [(src, tgt) for src in roster for tgt in roster
+             if src.id != tgt.id and (src.rat_id == tgt.rat_id) == cross_session]
+    expected = expected_evaluation_count(Counter(s.rat_id for s in sessions).values(), strategy)
     if len(pairs) != expected:
         raise PlanError(f"pair construction bug: {len(pairs)} pairs != formula {expected}")
     if not pairs:
@@ -472,17 +468,19 @@ def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -
     by_id = {s.id: s for s in sessions}
     out = ExperimentOutput([], [], [])
     source_plan = replace(plan, strategy="single_80")
-    units = [(sid, (by_id[sid], source_plan)) for sid in sources]
-    runs = dict(zip(sources, _map_jobs(out, "train", plan.cell_id, run_single_session, units, jobs)))
+    units = [("train", sid, plan.cell_id, run_single_session, (by_id[sid], source_plan)) for sid in sources]
+    runs = dict(zip(sources, _map_jobs(out, units, jobs, keep=True)))
     n_trained = len(out.results)
-    # pairs run here one at a time, so each tuned decoder is freed before the next
+    # pairs run here, in pair order; a failed source's pair returns its failure
+    units = []
     for src, tgt in pairs:
-        pair_id, run = f"{src.id}->{tgt.id}", runs[src.id]
+        run = runs[src.id]
         if isinstance(run, UnitFailure):
-            out.failures.append(("pair", pair_id, plan.cell_id, run.error, f"source {src.id} failed: {run.message}"))
-            continue
-        unit = (pair_id, (src.id, run.decoder, run.normalizer, tgt, plan))
-        _map_jobs(out, "pair", plan.cell_id, _transfer_unit, [unit], 1)
+            worker, args = UnitFailure, (run.error, f"source {src.id} failed: {run.message}")
+        else:
+            worker, args = _transfer_unit, (src.id, run.decoder, run.normalizer, tgt, plan)
+        units.append(("pair", f"{src.id}->{tgt.id}", plan.cell_id, worker, args))
+    _map_jobs(out, units, 1)
     out.pairs = out.results[n_trained:]
     out.results = _aggregate_per_target(out.pairs, plan)
     return out
@@ -518,28 +516,33 @@ class UnitFailure:
     message: str
 
 
-def _guarded(worker, *args):
+def _guarded(worker, args, keep: bool):
     """``worker(*args)``, or the :class:`UnitFailure` of a unit error; a
-    plain record, so it returns intact from a worker process."""
+    plain record, so it returns intact from a worker process. Without
+    ``keep``, the run's decoder and normalizer are freed here."""
     try:
-        return worker(*args)
+        run = worker(*args)
     except UNIT_ERRORS as exc:
         return UnitFailure(type(exc).__name__, str(exc))
+    if not (keep or isinstance(run, UnitFailure)):
+        run.decoder = run.normalizer = None
+    return run
 
 
-def _map_jobs(out: ExperimentOutput, kind: str, cell_id: str, worker, units, jobs: int):
-    """Run ``worker(*args)`` for each ``(unit_id, args)`` of ``units`` over
-    ``jobs`` worker processes (here when 1), and record each unit's result,
-    hygiene record and ``kind:unit_id:cell_id`` timing in ``out``, in unit
-    order, or its failure when it raised one of :data:`UNIT_ERRORS`. Returns
-    the runs, with a :class:`UnitFailure` in place of each failed one."""
+def _map_jobs(out: ExperimentOutput, units, jobs: int, keep: bool = False):
+    """Run ``worker(*args)`` for each ``(kind, unit_id, cell_id, worker,
+    args)`` of ``units`` over ``jobs`` worker processes (here when 1), and
+    record each unit's result, hygiene record and ``kind:unit_id:cell_id``
+    timing in ``out``, in unit order, or the failure of a unit that raised
+    one of :data:`UNIT_ERRORS` or returned a :class:`UnitFailure`. Returns
+    the runs; only ``keep`` leaves their decoders and normalizers in."""
     if jobs <= 1 or len(units) <= 1:
-        runs = [_guarded(worker, *args) for _, args in units]
+        runs = [_guarded(worker, args, keep) for *_, worker, args in units]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            futures = [ex.submit(_guarded, worker, *args) for _, args in units]
+            futures = [ex.submit(_guarded, worker, args, keep) for *_, worker, args in units]
             runs = [f.result() for f in futures]
-    for (unit_id, _), run in zip(units, runs):
+    for (kind, unit_id, cell_id, _, _), run in zip(units, runs):
         if isinstance(run, UnitFailure):
             out.failures.append((kind, unit_id, cell_id, run.error, run.message))
             continue
@@ -551,8 +554,7 @@ def _map_jobs(out: ExperimentOutput, kind: str, cell_id: str, worker, units, job
 
 def run_baseline(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -> ExperimentOutput:
     out = ExperimentOutput([], [], [])
-    units = [(s.id, (s, plan)) for s in sessions]
-    _map_jobs(out, "single", plan.cell_id, run_single_session, units, jobs)
+    _map_jobs(out, [("single", s.id, plan.cell_id, run_single_session, (s, plan)) for s in sessions], jobs)
     return out
 
 
@@ -572,15 +574,15 @@ def run_region_analysis(
     """Single-region (diagonal) and region-pair cells under the baseline
     protocol; sessions lacking a cell's channels are skipped and recorded."""
     out = ExperimentOutput([], [], [])
+    units = []
     for cell in region_cells(include_pairs):
         cell_plan = replace(plan, region_set=cell)
-        units = []
         for s in sessions:
             if any(r in cell for r in s.region_map):
-                units.append((s.id, (s, cell_plan)))
+                units.append(("region", s.id, cell_plan.cell_id, run_single_session, (s, cell_plan)))
             else:
                 out.skipped.append((s.id, cell_plan.region_label))
-        _map_jobs(out, "region", cell_plan.cell_id, run_single_session, units, jobs)
+    _map_jobs(out, units, jobs)
     return out
 
 
@@ -591,13 +593,12 @@ def run_band_analysis(
     jobs: int = 1,
 ) -> ExperimentOutput:
     out = ExperimentOutput([], [], [])
-    for band_name in bands:
-        band_plan = replace(plan, band=band_name)
-        units = [(s.id, (s, band_plan)) for s in sessions]
-        _map_jobs(out, "band", band_plan.cell_id, run_single_session, units, jobs)
-        for s in sessions:
-            energy = float(np.mean(np.var(band_isolate(s, band(band_name)).eeg, axis=1)))
-            out.band_energies.append((s.id, band_name, energy))
+    plans = [replace(plan, band=b) for b in bands]
+    units = [("band", s.id, p.cell_id, run_single_session, (s, p)) for p in plans for s in sessions]
+    _map_jobs(out, units, jobs)
+    out.band_energies = [
+        (s.id, b, float(np.mean(np.var(band_isolate(s, band(b)).eeg, axis=1)))) for b in bands for s in sessions
+    ]
     return out
 
 
@@ -653,12 +654,10 @@ def run_offset_analysis(
     """Shifted-target decoding per offset for the EEG decoder and the
     speed-history reference, plus the speed autocorrelation curve."""
     out = ExperimentOutput([], [], [])
-    for offset in offsets_ms:
-        off_plan = replace(plan, strategy="single_80", offset_ms=offset)
-        units = [(s.id, (s, off_plan)) for s in sessions]
-        _map_jobs(out, "offset", off_plan.cell_id, run_single_session, units, jobs)
-        if include_speed_rnn:
-            _map_jobs(out, "offset_speed", off_plan.cell_id, _speed_reference, units, jobs)
+    plans = [replace(plan, strategy="single_80", offset_ms=offset) for offset in offsets_ms]
+    roles = [("offset", run_single_session)] + [("offset_speed", _speed_reference)] * include_speed_rnn
+    units = [(kind, s.id, p.cell_id, worker, (s, p)) for p in plans for kind, worker in roles for s in sessions]
+    _map_jobs(out, units, jobs)
     if include_autocorrelation:
         for session in sessions:
             out.results.extend(autocorrelation_results(session))

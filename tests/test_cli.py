@@ -339,6 +339,21 @@ def test_experiment_same_seed_is_bitwise_idempotent(tmp_path):
             {"experiment__kind": "transfer", "plan__strategy": "finetune_cross_subject"},
             ("results.csv", "results_pairs.csv"),
         ),
+        # 4 channels leave some region cells without a session's channels
+        (
+            {"experiment__kind": "regions", "dataset__synthetic__n_channels": "4"},
+            ("results.csv", "skipped.csv"),
+        ),
+        ({"experiment__kind": "bands"}, ("results.csv", "band_energies.csv")),
+        (
+            {
+                "experiment__kind": "offsets",
+                "experiment__offsets_ms": "-100,0,100",
+                "experiment__include_speed_rnn": "true",
+                "experiment__include_autocorrelation": "true",
+            },
+            ("results.csv",),
+        ),
     ],
 )
 def test_experiment_jobs_2_matches_jobs_1_bitwise(tmp_path, overrides, tables):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locodec import protocols
 from locodec.decoders import DecoderSpec, new_decoder
 from locodec.errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from locodec.protocols import (
@@ -36,6 +37,7 @@ from locodec.protocols import (
     results_to_csv_text,
     run_band_analysis,
     run_baseline,
+    run_offset_analysis,
     run_region_analysis,
     run_single_session,
     run_transfer,
@@ -347,12 +349,37 @@ def _raise(exc):
 
 def test_only_unit_errors_are_recorded():
     out = ExperimentOutput([], [], [])
-    runs = _map_jobs(out, "single", "cell", _raise, [("u1", (DivergenceError(3, 0.1),))], 1)
+    runs = _map_jobs(out, [("single", "u1", "cell", _raise, (DivergenceError(3, 0.1),))], 1)
     assert runs == [UnitFailure("DivergenceError", "non-finite training loss at epoch 3 (lr=0.1)")]
     assert out.failures == [("single", "u1", "cell", *astuple(runs[0]))]
     for exc in (LeakageError("leak"), SplitError("short"), ValueError("bug")):
         with pytest.raises(type(exc)):
-            _map_jobs(out, "single", "cell", _raise, [("u2", (exc,))], 1)
+            _map_jobs(out, [("single", "u2", "cell", _raise, (exc,))], 1)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sessions, plan: run_region_analysis(sessions, plan, include_pairs=False, jobs=2),
+        lambda sessions, plan: run_band_analysis(sessions, plan, bands=("fullband", "theta"), jobs=2),
+        lambda sessions, plan: run_offset_analysis(sessions, plan, offsets_ms=(0, 100), jobs=2),
+    ],
+    ids=["regions", "bands", "offsets"],
+)
+def test_a_grid_kind_starts_one_worker_pool(monkeypatch, run):
+    """Every cell of the grid goes through one _map_jobs call, so one pool."""
+    started = []
+
+    class CountingPool(protocols.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "ProcessPoolExecutor", CountingPool)
+    sessions = tiny_fleet(sessions_per_rat=2)
+    out = run(sessions, ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1)))
+    assert len(out.timings) >= 2 * len(sessions)  # two cells or more
+    assert started == [{"max_workers": 2}]
 
 
 def test_single_10_trains_on_less_data_than_single_80():
