@@ -471,7 +471,8 @@ def run_transfer(sessions: list[Session], plan: ExperimentPlan, jobs: int = 1) -
     units = [("train", sid, plan.cell_id, run_single_session, (by_id[sid], source_plan)) for sid in sources]
     runs = dict(zip(sources, _map_jobs(out, units, jobs, keep=True)))
     n_trained = len(out.results)
-    # pairs run here, in pair order; a failed source's pair returns its failure
+    # pairs run here, in pair order, since spans traced in a worker process are
+    # lost; a failed source's pair returns its failure
     units = []
     for src, tgt in pairs:
         run = runs[src.id]
@@ -519,13 +520,13 @@ class UnitFailure:
 def _guarded(worker, args, keep: bool):
     """``worker(*args)``, or the :class:`UnitFailure` of a unit error; a
     plain record, so it returns intact from a worker process. Without
-    ``keep``, the run's decoder and normalizer are freed here."""
+    ``keep``, the run's decoder, normalizer and report are freed here."""
     try:
         run = worker(*args)
     except UNIT_ERRORS as exc:
         return UnitFailure(type(exc).__name__, str(exc))
     if not (keep or isinstance(run, UnitFailure)):
-        run.decoder = run.normalizer = None
+        run.decoder = run.normalizer = run.report = None
     return run
 
 
@@ -535,7 +536,7 @@ def _map_jobs(out: ExperimentOutput, units, jobs: int, keep: bool = False):
     record each unit's result, hygiene record and ``kind:unit_id:cell_id``
     timing in ``out``, in unit order, or the failure of a unit that raised
     one of :data:`UNIT_ERRORS` or returned a :class:`UnitFailure`. Returns
-    the runs; only ``keep`` leaves their decoders and normalizers in."""
+    the runs; only ``keep`` leaves their decoders, normalizers and reports in."""
     if jobs <= 1 or len(units) <= 1:
         runs = [_guarded(worker, args, keep) for *_, worker, args in units]
     else:
