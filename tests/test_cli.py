@@ -351,6 +351,7 @@ def test_experiment_same_seed_is_bitwise_idempotent(tmp_path):
                 "experiment__offsets_ms": "-100,0,100",
                 "experiment__include_speed_rnn": "true",
                 "experiment__include_autocorrelation": "true",
+                "decoder__lstm_hidden": "8",  # the speed-history reference's width
             },
             ("results.csv",),
         ),
