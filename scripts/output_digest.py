@@ -8,10 +8,12 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- fourteen experiments, each followed by ``report``: ``baseline`` (ffnn,
+- fifteen experiments, each followed by ``report``: ``baseline`` (ffnn,
   clipped), ``forest``, ``regions`` (on 4 channels, so that some region
   cells are skipped), ``bands``, ``offsets`` (three offsets, so the
-  quadratic fit has a row), ``finetune_cross_subject``,
+  quadratic fit has a row) and the same in the ``theta`` band (the
+  speed-history rows keep the ``fullband`` label of their unfiltered
+  trace), ``finetune_cross_subject``,
   ``zeroshot_cross_session`` (the source normalizer reused), a gated
   ``baseline``, a ``transformer_encoder`` baseline, and three fine-tunes of
   families with a frozen body: ``lstm_rnn`` with
@@ -77,6 +79,7 @@ EXPERIMENTS = {
     "regions": {"experiment.kind": "regions", "dataset.synthetic.n_channels": "4"},
     "bands": {"experiment.kind": "bands"},
     "offsets": {"experiment.kind": "offsets", "experiment.offsets_ms": "-100,0,100"},
+    "offsets_theta": {"experiment.kind": "offsets", "experiment.offsets_ms": "-100,0,100", "plan.band": "theta"},
     "finetune": {"experiment.kind": "transfer", "plan.strategy": "finetune_cross_subject"},
     "zeroshot": {"experiment.kind": "transfer", "plan.strategy": "zeroshot_cross_session"},
     "gated": {"dataset.apply_gate": "true"},

@@ -79,6 +79,21 @@ def _expand_paths(patterns) -> list[str]:
     return out
 
 
+def _ingest_new(path, seen: dict) -> Session:
+    """The session at ``path``; its id must not be in ``seen`` (id -> path),
+    which records it."""
+    s = ingest_session(path)
+    if s.id in seen:
+        raise IntegrityError(f"session id {s.id!r} is in both {seen[s.id]} and {path}")
+    seen[s.id] = path
+    return s
+
+
+def _ingest_all(patterns) -> list[Session]:
+    seen: dict = {}
+    return [_ingest_new(p, seen) for p in _expand_paths(patterns)]
+
+
 def _load_sessions(cfg: ResolvedRun):
     """Sessions per the dataset config, plus the gate outcome if gating."""
     if cfg.use_synthetic:
@@ -86,7 +101,7 @@ def _load_sessions(cfg: ResolvedRun):
     else:
         if not cfg.dataset_paths:
             raise ConfigError("dataset.paths is empty and dataset.synthetic is false")
-        sessions = [ingest_session(p) for p in _expand_paths(cfg.dataset_paths)]
+        sessions = _ingest_all(cfg.dataset_paths)
     gate = None
     if cfg.apply_gate:
         gate = apply_inclusion_gate(sessions, threshold=cfg.iqr_threshold)
@@ -148,9 +163,10 @@ def cmd_ingest(args) -> int:
     ext = ".csv" if fmt == "canonical_csv" else ".bin"
     sessions: list[Session] = []
     failures: list[tuple[str, str]] = []
+    seen: dict = {}
     for path in _expand_paths(args.paths):
         try:
-            s = ingest_session(path)
+            s = _ingest_new(path, seen)
             write_session(s, out_dir / f"{s.id}{ext}", fmt=fmt)
             sessions.append(s)
         except _INPUT_ERRORS as exc:
@@ -312,7 +328,7 @@ def cmd_report(args) -> int:
     _write_atomic(out_dir / "offset_curve_fits.csv", fits)
     written = ["medians.csv", "tests.csv", "offset_curves.csv", "offset_curve_fits.csv"]
     if args.sessions:
-        sessions = [ingest_session(p) for p in _expand_paths(args.sessions)]
+        sessions = _ingest_all(args.sessions)
         _write_atomic(out_dir / "spectra.csv", spectra_csv_text(sessions, config_hash, seed))
         written.append("spectra.csv")
     print(f"report: wrote {', '.join(written)} to {out_dir}")

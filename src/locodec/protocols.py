@@ -17,7 +17,9 @@ Each experiment kind builds one flat list of units, ``(kind, unit_id,
 cell_id, worker, args)``, and runs it with one :func:`_map_jobs` call per
 phase; transfer has two, sources over the worker pool and then pairs in
 this process. Rows, hygiene records, timings and failures are kept in unit
-order, so no output depends on scheduling.
+order, so no output depends on scheduling. The speed-history reference of
+``offsets`` is a unit like the others, run on a one-channel session whose
+EEG is the speed trace.
 
 Window bookkeeping at nonzero offsets follows two rules. Fitting windows
 (train/validation/fine-tune) may keep shifted targets that fall in earlier
@@ -44,6 +46,7 @@ from .dsp import BAND_NAMES, autocorrelation, band, band_isolate
 from .errors import DegenerateDataError, DivergenceError, FormatError, LeakageError, PlanError, SplitError
 from .sessions import (
     REGIONS,
+    SIDES,
     STRIDE_MS,
     WINDOW_LEN,
     Normalizer,
@@ -51,10 +54,11 @@ from .sessions import (
     fit_normalizer,
     normalized_session,
     offset_samples_for,
-    speed_window_arrays,
     split_ranges,
     window_arrays,
 )
+# perfbench/tracing.py wraps locodec.protocols.speed_window_arrays
+from .sessions import speed_window_arrays  # noqa: F401
 from .stats import pearson_r, r_squared
 from .trainer import TrainConfig, TrainReport, fine_tune, train
 
@@ -154,17 +158,11 @@ class HygieneRecord:
 def check_no_test_leakage(rec: HygieneRecord) -> None:
     """Raise :class:`LeakageError` unless fitting stayed strictly outside the
     test range and evaluation stayed strictly inside it."""
-    test_set = np.arange(rec.test_start, rec.test_stop)
-    bad_fit = np.intersect1d(rec.fit_input_indices, test_set)
-    if bad_fit.size:
-        raise LeakageError(
-            f"{rec.session_id}/{rec.strategy}: {bad_fit.size} fitting input samples inside test range"
-        )
-    bad_tgt = np.intersect1d(rec.fit_target_indices, test_set)
-    if bad_tgt.size:
-        raise LeakageError(
-            f"{rec.session_id}/{rec.strategy}: {bad_tgt.size} fitting targets inside test range"
-        )
+    for what, arr in (("input samples", rec.fit_input_indices), ("targets", rec.fit_target_indices)):
+        arr = np.asarray(arr)
+        n_bad = np.count_nonzero((arr >= rec.test_start) & (arr < rec.test_stop))
+        if n_bad:
+            raise LeakageError(f"{rec.session_id}/{rec.strategy}: {n_bad} fitting {what} inside test range")
     for name, arr in (("inputs", rec.test_input_indices), ("targets", rec.test_target_indices)):
         if arr.size and (arr.min() < rec.test_start or arr.max() >= rec.test_stop):
             raise LeakageError(
@@ -173,9 +171,10 @@ def check_no_test_leakage(rec: HygieneRecord) -> None:
 
 
 def _input_indices(starts: np.ndarray) -> np.ndarray:
+    """The samples read by windows at ``starts``, one contiguous run."""
     if starts.size == 0:
         return np.empty(0, dtype=np.int64)
-    return np.unique(starts[:, None] + np.arange(WINDOW_LEN)[None, :])
+    return np.arange(starts[0], starts[-1] + WINDOW_LEN, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -232,34 +231,6 @@ def _prepare(session: Session, plan: ExperimentPlan) -> Session:
     return prepared
 
 
-def _eeg_source(session: Session, plan: ExperimentPlan, normalizer: Normalizer | range):
-    """Window source over the session's EEG, prepared for ``plan`` and
-    normalized by ``normalizer``, or by one fit on the prepared session when
-    a range is given. Returns (windows, normalizer, normalizer fit range)."""
-    prep = _prepare(session, plan)
-    fit_range = range(0)
-    if isinstance(normalizer, range):
-        fit_range, normalizer = normalizer, fit_normalizer(prep, normalizer)
-    norm = normalized_session(prep, normalizer)
-    return (lambda rng: window_arrays(norm, rng, plan.offset_ms)), normalizer, fit_range
-
-
-def _speed_source(session: Session, plan: ExperimentPlan, fit_range: range):
-    """Window source over the speed trace itself, z-scored on ``fit_range``,
-    for the speed-history reference model."""
-    mu = float(np.mean(session.speed[fit_range.start : fit_range.stop]))
-    sd = max(float(np.std(session.speed[fit_range.start : fit_range.stop])), 1e-8)
-    z = (session.speed - mu) / sd
-
-    def speed_windows(rng: range):
-        starts, x, y = speed_window_arrays(z, rng, plan.offset_ms)
-        # targets come back as z[t]*sd + mu, not speed[t]: the two differ
-        # in the last bit, and training amplifies that
-        return starts, x, y * sd + mu
-
-    return speed_windows, None, fit_range
-
-
 def _safe_r(pred: np.ndarray, actual: np.ndarray) -> float:
     """Pearson r, with a constant *prediction* scored as 0 (no measurable
     linear association). A constant actual trace is a data defect and
@@ -293,7 +264,6 @@ def _run_unit(
     fit,
     seed: int,
     source_id: str = "",
-    source=_eeg_source,
 ) -> SingleRunOutput:
     """The one unit of work behind every protocol: prepare, normalize,
     window, fit, predict, score and audit.
@@ -308,7 +278,17 @@ def _run_unit(
     """
     t0 = time.perf_counter()
     fit_rng, val_rng, test_rng = ranges
-    windows, normalizer, norm_range = source(session, plan, normalizer)
+    prep = _prepare(session, plan)
+    norm_range = range(0)
+    if isinstance(normalizer, range):
+        norm_range, normalizer = normalizer, fit_normalizer(prep, normalizer)
+    # rebound, so that a filtered or channel-selected copy is not held
+    # through training
+    prep = normalized_session(prep, normalizer)
+
+    def windows(rng: range):
+        return window_arrays(prep, rng, plan.offset_ms)
+
     k = offset_samples_for(plan.offset_ms)
     fit_sets = [] if isinstance(fit, Decoder) else [
         _split_windows(windows, rng, test_rng, k) for rng in (fit_rng, val_rng)
@@ -345,10 +325,9 @@ def _run_unit(
         strategy=plan.strategy,
         test_start=test_rng.start,
         test_stop=test_rng.stop,
-        fit_input_indices=np.union1d(
-            _input_indices(np.concatenate([empty, *(f[0] for f in fit_sets)])),
-            np.arange(norm_range.start, norm_range.stop),
-        ),
+        fit_input_indices=np.unique(np.concatenate(
+            [*(_input_indices(f[0]) for f in fit_sets), np.arange(norm_range.start, norm_range.stop)]
+        )),
         fit_target_indices=np.unique(np.concatenate([empty, *(f[3] for f in fit_sets)])),
         test_input_indices=_input_indices(s_te),
         test_target_indices=np.unique(t_te),
@@ -357,7 +336,7 @@ def _run_unit(
     return SingleRunOutput(result, decoder, normalizer, report, hygiene, time.perf_counter() - t0)
 
 
-def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str, source=_eeg_source):
+def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str):
     """A unit that fits a fresh decoder, and its normalizer, on the session's
     own fit range, with seeds derived from ``cell_id``."""
     ranges = strategy_ranges(plan.strategy, session.n_samples)
@@ -369,7 +348,7 @@ def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str, source=_ee
         return train(new_decoder(spec), x, y, x_val, y_val, cfg)
 
     seed = derive_seed(plan.master_seed, session.id, cell_id, "init")
-    return _run_unit(session, plan, ranges, ranges[0], fit, seed, source=source)
+    return _run_unit(session, plan, ranges, ranges[0], fit, seed)
 
 
 def run_single_session(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
@@ -604,16 +583,18 @@ def run_band_analysis(
 
 
 def _speed_reference(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
-    """Speed-history reference model: the splits, windowing and seeds of
-    ``plan``'s EEG decoder unit, but the input is the past speed trace."""
+    """Speed-history reference model: ``plan``'s EEG decoder unit, with its
+    splits and seeds, run on a one-channel session whose EEG is the speed
+    trace. The trace is never band-filtered, so its row is all/fullband."""
     spec = DecoderSpec(
         family="speed_rnn",
         n_channels=1,
         lstm_hidden=plan.decoder.lstm_hidden,
         head_hidden=plan.decoder.head_hidden,
     )
-    speed_plan = replace(plan, decoder=spec, region_set=())
-    return _train_unit(session, speed_plan, plan.cell_id, _speed_source)
+    # nothing reads the one channel's region and side labels
+    trace = replace(session, eeg=session.speed[None, :], region_map=REGIONS[:1], side_map=SIDES[:1])
+    return _train_unit(trace, replace(plan, decoder=spec, region_set=(), band="fullband"), plan.cell_id)
 
 
 def autocorrelation_results(session: Session, max_lag_ms: int = AUTOCORR_MAX_LAG_MS) -> list[EvalResult]:

@@ -527,7 +527,8 @@ def window_arrays(
 def speed_window_arrays(
     speed: np.ndarray, index_range: range, offset_ms: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Windows over the speed trace itself (single input channel), used by the
-    speed-history reference decoder. Same windowing and target rules."""
+    """Windows over a bare speed trace (single input channel), by the same
+    windowing and target rules. No unit calls it: the speed-history
+    reference windows a one-channel session with :func:`window_arrays`."""
     speed = np.asarray(speed, dtype=np.float64)
     return _window_stack(speed[None, :], speed, index_range, offset_samples_for(offset_ms))

@@ -393,6 +393,63 @@ def test_experiment_never_mutates_input_files(ten_session_dir, tmp_path):
     assert len(result_rows) == 9  # one session gated out
 
 
+@pytest.fixture()
+def twin_dirs(tmp_path):
+    """A 1-rat x 2-session fleet written to a/, and a copy of it in b/: two
+    paths for each session id."""
+    cfg = write_cfg(tmp_path, name="fleet.cfg", dataset__synthetic__sessions_per_rat="2",
+                    dataset__synthetic__duration_s="20.0")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(a)]) == 0
+    shutil.copytree(a, b)
+    return a, b
+
+
+def _names_the_twins(err, a, b, sid="rat01_s01"):
+    return f"'{sid}'" in err and str(a / f"{sid}.bin") in err and str(b / f"{sid}.bin") in err
+
+
+@pytest.mark.parametrize("command", ["experiment", "train"])
+def test_a_repeated_session_id_in_the_dataset_exits_2(twin_dirs, tmp_path, capsys, command):
+    a, b = twin_dirs
+    cfg = write_cfg(tmp_path, dataset__synthetic="false", dataset__paths=f"{a}/*.bin,{b}/*.bin",
+                    train__session="rat01_s01")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert entrypoint([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert _names_the_twins(capsys.readouterr().err, a, b)
+    assert not (out / "results.csv").exists()
+
+
+def test_ingest_fails_the_later_file_of_a_repeated_session_id(twin_dirs, tmp_path, capsys):
+    a, b = twin_dirs
+    out = tmp_path / "canon"
+    paths = [str(p) for d in (a, b) for p in sorted(d.glob("*.bin"))]
+    capsys.readouterr()
+    assert entrypoint(["ingest", *paths, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2
+    assert f"error: {b / 'rat01_s01.bin'}: " in err and _names_the_twins(err, a, b)
+    assert f"error: {b / 'rat01_s02.bin'}: " in err and _names_the_twins(err, a, b, "rat01_s02")
+    # the earlier files are kept, and the rest of the run went on
+    assert sorted(p.name for p in out.glob("*.bin")) == ["rat01_s01.bin", "rat01_s02.bin"]
+    _, *rows = (out / "gate_report.csv").read_text().splitlines()
+    assert len(rows) == 2
+
+
+def test_report_sessions_with_a_repeated_id_exits_2(twin_dirs, tmp_path, capsys):
+    a, b = twin_dirs
+    rows = [EvalResult(sid, "rat01", "single_80", "all", "fullband", 0, "linear", 0.5, 0.25, 90, 0)
+            for sid in ("rat01_s01", "rat01_s02")]
+    results, rep = tmp_path / "results.csv", tmp_path / "rep"
+    results.write_text(results_to_csv_text(rows))
+    capsys.readouterr()
+    argv = ["report", str(results), "--out", str(rep), "--sessions", f"{a}/*.bin", f"{b}/*.bin"]
+    assert entrypoint(argv) == 2
+    assert _names_the_twins(capsys.readouterr().err, a, b)
+    assert not (rep / "spectra.csv").exists()
+
+
 def test_experiment_strategy_mismatch_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, experiment__kind="transfer")
     assert entrypoint(["experiment", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2

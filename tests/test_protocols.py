@@ -8,6 +8,8 @@ assertions, seed derivation, identity configurations, and the results
 table format.
 """
 
+import tracemalloc
+import weakref
 from dataclasses import astuple
 
 import numpy as np
@@ -50,12 +52,15 @@ from locodec.sessions import (
     WINDOW_LEN,
     fit_normalizer,
     offset_samples_for,
+    speed_window_arrays,
     split_ranges,
     window_arrays,
 )
 from locodec.stats import r_squared
 from locodec.synthetic import FleetSpec, generate_synthetic_fleet
 from locodec.trainer import TrainConfig
+
+from conftest import make_session
 
 LIN = DecoderSpec(family="linear", n_channels=8)
 FAST = TrainConfig(max_epochs=8, patience=3, learning_rate=3e-3)
@@ -269,6 +274,146 @@ def test_hygiene_records_the_normalizer_fit_range(strategy, fits_normalizer, off
             assert np.isin(np.arange(norm_range.start, norm_range.stop), rec.fit_input_indices).all()
         else:
             assert rec.fit_input_indices.size == 0
+
+
+def _broadcast_input_indices(starts):
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(starts[:, None] + np.arange(WINDOW_LEN)[None, :])
+
+
+def _broadcast_record_arrays(fit_sets, test_set, norm_range):
+    """A unit's four hygiene arrays, built from its (starts, x, y, targets)
+    window sets the way the audit built them before it relied on each set
+    being one contiguous run: every window's WINDOW_LEN input indices,
+    broadcast and de-duplicated."""
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.union1d(
+            _broadcast_input_indices(np.concatenate([empty, *(f[0] for f in fit_sets)])),
+            np.arange(norm_range.start, norm_range.stop),
+        ),
+        np.unique(np.concatenate([empty, *(f[3] for f in fit_sets)])),
+        _broadcast_input_indices(test_set[0]),
+        np.unique(test_set[3]),
+    )
+
+
+@pytest.mark.parametrize("offset_ms", [-500, 0, 500])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_hygiene_arrays_equal_the_broadcast_construction(monkeypatch, strategy, offset_ms):
+    references, unit = [], {"fit_sets": [], "norm_range": range(0)}
+    split_windows, fit_norm = protocols._split_windows, protocols.fit_normalizer
+
+    def spy_fit_normalizer(s, rng):
+        unit["norm_range"] = rng
+        return fit_norm(s, rng)
+
+    def spy_split_windows(windows, rng, test, k, evaluate=False):
+        got = split_windows(windows, rng, test, k, evaluate)
+        if not evaluate:
+            unit["fit_sets"].append(got)
+        else:  # a unit's test set is its last
+            references.append(_broadcast_record_arrays(unit["fit_sets"], got, unit["norm_range"]))
+            unit.update(fit_sets=[], norm_range=range(0))
+        return got
+
+    monkeypatch.setattr(protocols, "fit_normalizer", spy_fit_normalizer)
+    monkeypatch.setattr(protocols, "_split_windows", spy_split_windows)
+    sessions = tiny_fleet(n_rats=2, sessions_per_rat=2, duration_s=30.0, speed_bias=1.0)
+    plan = ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1), strategy=strategy, offset_ms=offset_ms)
+    if strategy.startswith("single"):
+        records = [run_single_session(s, plan).hygiene for s in sessions]
+    else:
+        records = run_transfer(sessions, plan).hygiene
+    assert len(records) == len(references) >= len(sessions)
+    for rec, ref in zip(records, references):
+        got = (rec.fit_input_indices, rec.fit_target_indices, rec.test_input_indices, rec.test_target_indices)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_long_unit_audits_without_per_window_indices():
+    """One single_80 linear unit over 173,000 samples (about 29 min) of 2
+    channels, with no training epochs. Its audit holds index spans, not
+    every window's WINDOW_LEN indices, so the unit's traced peak stays
+    below 30 MB (about 60 MB with per-window indices)."""
+    session = make_session(n_channels=2, n_samples=173_000)
+    plan = ExperimentPlan(decoder=DecoderSpec(family="linear", n_channels=2), train=TrainConfig(max_epochs=0))
+    tracemalloc.start()
+    try:
+        run_single_session(session, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_a_band_unit_frees_its_unnormalized_copy_before_fitting(monkeypatch):
+    """A band unit filters a copy of the session; only the normalized copy
+    is held while the decoder trains."""
+    copies, alive_at_fit = [], []
+    normalized_session, train = protocols.normalized_session, protocols.train
+
+    def spy_normalized_session(s, norm):
+        copies.append(weakref.ref(s))
+        return normalized_session(s, norm)
+
+    def spy_train(*args, **kwargs):
+        alive_at_fit.append([ref() is not None for ref in copies])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "normalized_session", spy_normalized_session)
+    monkeypatch.setattr(protocols, "train", spy_train)
+    (session,) = tiny_fleet(speed_bias=1.0)
+    run_single_session(session, ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1), band="theta"))
+    assert alive_at_fit == [[False]]
+
+
+# ---------------------------------------------------------------------------
+# the speed-history reference
+
+
+@pytest.mark.parametrize("offset_ms", [-500, 0, 500])
+@pytest.mark.parametrize("band_name, region_set", [("fullband", ()), ("theta", ("visual",))])
+def test_speed_reference_is_an_eeg_unit_over_the_speed_trace(monkeypatch, band_name, region_set, offset_ms):
+    """The reference reads windows of the speed trace z-scored on its fit
+    range, unfiltered in any band, and is scored against the recorded speed
+    at the window targets; its row is all/fullband with the EEG cell's seed."""
+    evaluated = []
+    split_windows = protocols._split_windows
+
+    def spy_split_windows(windows, rng, test, k, evaluate=False):
+        got = split_windows(windows, rng, test, k, evaluate)
+        if evaluate:
+            evaluated.append(got)
+        return got
+
+    monkeypatch.setattr(protocols, "_split_windows", spy_split_windows)
+    (session,) = tiny_fleet(duration_s=30.0, speed_bias=1.0)
+    spec = DecoderSpec(family="linear", n_channels=8, lstm_hidden=4, head_hidden=(4,))
+    plan = ExperimentPlan(
+        decoder=spec, train=TrainConfig(max_epochs=1), band=band_name, region_set=region_set, offset_ms=offset_ms
+    )
+    run = protocols._speed_reference(session, plan)
+    ((_, x, y, targets),) = evaluated
+
+    fit, _, test = strategy_ranges("single_80", session.n_samples)
+    chunk = session.speed[fit.start : fit.stop]
+    z = (session.speed - chunk.mean()) / chunk.std()
+    ref_starts, ref_x, _ = speed_window_arrays(z, test, offset_ms)
+    ref_targets = ref_starts + WINDOW_LEN - 1 + offset_samples_for(offset_ms)
+    keep = (ref_targets >= test.start + WINDOW_LEN - 1) & (ref_targets < test.stop)
+    assert x.shape == ref_x[keep].shape and x.tobytes() == ref_x[keep].tobytes()
+    assert targets.tobytes() == ref_targets[keep].tobytes()
+    assert y.tobytes() == session.speed[targets].tobytes()
+
+    pred = run.decoder.predict_batch(x)
+    res = run.result
+    assert res.r == protocols._safe_r(pred, session.speed[targets])
+    assert res.r2 == r_squared(pred, session.speed[targets])
+    assert (res.model, res.region_set, res.band, res.offset_ms) == ("speed_rnn", "all", "fullband", offset_ms)
+    assert res.seed == derive_seed(plan.master_seed, session.id, plan.cell_id, "init")
 
 
 # ---------------------------------------------------------------------------
