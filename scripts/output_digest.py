@@ -8,12 +8,14 @@ Imports ``locodec`` from ``SRC/src`` (a checkout of this repository) and
 runs, in-process, one fixed set of commands on a 2-rat x 2-session,
 8-channel synthetic fleet:
 
-- fifteen experiments, each followed by ``report``: ``baseline`` (ffnn,
-  clipped), ``forest``, ``regions`` (on 4 channels, so that some region
-  cells are skipped), ``bands``, ``offsets`` (three offsets, so the
-  quadratic fit has a row) and the same in the ``theta`` band (the
-  speed-history rows keep the ``fullband`` label of their unfiltered
-  trace), ``finetune_cross_subject``,
+- sixteen experiments, each followed by ``report``: ``baseline`` (ffnn,
+  clipped), ``forest``, ``forest_bands`` (a 3-tree, depth-5 forest in
+  every band, so that band-filtered forest fits are compared too),
+  ``regions`` (on 4 channels, so that some region cells are skipped),
+  ``bands``, ``offsets`` (three offsets, so the quadratic fit has a row)
+  and the same in the ``theta`` band (the speed-history rows keep the
+  ``fullband`` label of their unfiltered trace, and ``tests.csv`` pairs
+  them with the theta rows), ``finetune_cross_subject``,
   ``zeroshot_cross_session`` (the source normalizer reused), a gated
   ``baseline``, a ``transformer_encoder`` baseline, and three fine-tunes of
   families with a frozen body: ``lstm_rnn`` with
@@ -76,6 +78,12 @@ FAILING_FLEET = {"dataset.synthetic.seed": "3", "dataset.synthetic.n_rats": "3"}
 EXPERIMENTS = {
     "baseline": {"decoder.family": "ffnn", "plan.clip_nonnegative": "true"},
     "forest": {"decoder.family": "random_forest", "decoder.n_trees": "4", "decoder.max_depth": "4"},
+    "forest_bands": {
+        "experiment.kind": "bands",
+        "decoder.family": "random_forest",
+        "decoder.n_trees": "3",
+        "decoder.max_depth": "5",
+    },
     "regions": {"experiment.kind": "regions", "dataset.synthetic.n_channels": "4"},
     "bands": {"experiment.kind": "bands"},
     "offsets": {"experiment.kind": "offsets", "experiment.offsets_ms": "-100,0,100"},

@@ -7,18 +7,26 @@ values. Leaves predict their training mean and the ensemble averages the
 trees. Thresholds and leaf values are quantized to float32 when the fit
 finishes so serialized trees reproduce in-memory predictions bit for bit.
 
-Split search is exact and vectorized per node. Each tree holds its sample
-feature-major, (features, rows). A node scores its candidate features in
-blocks of ``BLOCK_FEATURES``, which bounds its scratch memory: one sort per
-block row, cumulative sums along the rows and one masked argmin. A block
-replaces the running best only on a strictly smaller SSE, so ties go to the
-first feature drawn, then to the first cut.
+Split search is exact and vectorized per node. A fit ranks each feature
+once: a feature-major (features, rows) int32 array of dense ranks, where
+equal values share a rank, filled ``BLOCK_FEATURES`` columns at a time. A
+node scores its candidate features in blocks of ``BLOCK_FEATURES``, which
+bounds its scratch memory. For each feature of a block it builds integer
+keys ``rank << shift | position``, the position being the row's place among
+the node's rows, and one integer sort of the block orders them. Positions
+are unique and a node keeps its rows in ascending order, so the sorted keys
+are exactly a stable argsort of the feature's values: tied values keep row
+order, and the cumulative sums and SSEs are bitwise those of a stable
+per-feature scan. Cumulative sums run along the rows, valid cuts lie where
+consecutive ranks differ, and one masked argmin picks the block's cut. A
+block replaces the running best only on a strictly smaller SSE, so ties go
+to the first feature drawn, then to the first cut. Keys are int32 when the
+rank bits plus the position bits fit in 31, otherwise int64.
 
-Blocks are sorted with numpy's default, unstable argsort. That changes the
-cumulative sums only where a run of equal x holds differing y, and then the
-block is re-sorted stably, so trees are bitwise those of a stable
-per-feature scan. This needs finite inputs: NaN would hide a tie from that
-check.
+The threshold is the midpoint of the two feature values at the cut, and the
+node's rows are sent left by comparing their values, not their ranks, with
+it: the midpoint of two adjacent floats can round onto the upper value, and
+then that value goes left, as it does at prediction.
 """
 
 from __future__ import annotations
@@ -84,48 +92,67 @@ def _n_split_features(spec: ForestSpec, d: int) -> int:
     return max(1, math.ceil(spec.max_features * d))
 
 
-def _sort_block(xb: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``xb`` (b, m) sorted, and ``y`` (m,) carried along each
-    row's order: (xs, ys), both (b, m). Equal to a stable sort's result."""
-    order = np.argsort(xb, axis=1)
-    xs = np.take_along_axis(xb, order, axis=1)
-    ys = y[order]
-    if ((xs[:, 1:] == xs[:, :-1]) & (ys[:, 1:] != ys[:, :-1])).any():
-        order = np.argsort(xb, axis=1, kind="stable")
+def _dense_ranks(x: np.ndarray) -> np.ndarray:
+    """Feature-major (d, n) int32 dense ranks of the columns of ``x`` (n, d):
+    equal values share a rank and ranks rise with the value. Ranked
+    ``BLOCK_FEATURES`` columns at a time, so the scratch stays a block."""
+    ranks = np.empty(x.shape[::-1], dtype=np.int32)
+    for j in range(0, x.shape[1], BLOCK_FEATURES):
+        xb = x[:, j : j + BLOCK_FEATURES].T
+        order = np.argsort(xb, axis=1)
         xs = np.take_along_axis(xb, order, axis=1)
-        ys = y[order]
-    return xs, ys
+        step = np.zeros(xs.shape, dtype=np.int32)
+        np.not_equal(xs[:, 1:], xs[:, :-1], out=step[:, 1:])
+        np.put_along_axis(ranks[j : j + BLOCK_FEATURES], order, np.cumsum(step, axis=1, out=step), axis=1)
+    return ranks
 
 
-def _best_block_split(xb: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest-SSE cut over the features (rows) of ``xb``: (sse, row,
-    threshold), or None if no row has a valid cut. Ties go to the first row,
-    then to the first cut."""
-    xs, ys = _sort_block(xb, y)
+def _best_block_split(keys: np.ndarray, y: np.ndarray, min_leaf: int, shift: int):
+    """Lowest-SSE cut over the features (rows) of ``keys`` (b, m), each a
+    feature's ``rank << shift | position`` for the node's rows, sorted here
+    in place: (sse, row, left position, right position), the positions
+    being the node rows on either side of the cut, or None if no row has a
+    valid cut. Ties go to the first row, then to the first cut."""
+    keys.sort(axis=1)
+    ranks = keys >> shift
+    pos = (keys & ((1 << shift) - 1)).astype(np.intp, copy=False)
+    ys = y[pos]
     n = y.size
     csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys * ys, axis=1)
+    ys *= ys
+    csq = np.cumsum(ys, axis=1)
     n_left = np.arange(1.0, n)  # float counts: same quotients, no int-to-float cast per element
     n_right = n - n_left
     sum_l = csum[:, :-1]
     sq_l = csq[:, :-1]
+    # sse = (sq_l - sum_l**2 / n_left) + (sq_r - sum_r**2 / n_right), in place
+    sse = sum_l * sum_l
+    sse /= n_left
+    np.subtract(sq_l, sse, out=sse)
     sum_r = csum[:, -1:] - sum_l
+    sum_r *= sum_r
+    sum_r /= n_right
     sq_r = csq[:, -1:] - sq_l
-    sse = (sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / n_right)
-    valid = (xs[:, 1:] > xs[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
-    sse = np.where(valid, sse, np.inf)
+    sq_r -= sum_r
+    sse += sq_r
+    valid = (ranks[:, 1:] != ranks[:, :-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+    np.copyto(sse, np.inf, where=~valid)
     cut = np.argmin(sse, axis=1)
     row = int(np.argmin(sse[np.arange(cut.size), cut]))
     i = int(cut[row])
     if not valid[row, i]:
         return None
-    return float(sse[row, i]), row, 0.5 * (xs[row, i] + xs[row, i + 1])
+    return float(sse[row, i]), row, int(pos[row, i]), int(pos[row, i + 1])
 
 
-def _grow_tree(xt: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
-    """One tree on the feature-major sample ``xt`` (d, n) with targets ``y``."""
-    d = xt.shape[0]
+def _grow_tree(x: np.ndarray, ranks: np.ndarray, sample: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
+    """One tree on the rows ``sample`` of ``x`` (n, d), whose dense ranks
+    are ``ranks`` (d, n), with the sample's targets ``y``."""
+    d = ranks.shape[0]
     k_feats = _n_split_features(spec, d)
+    shift = (y.size - 1).bit_length()  # bits of a position within a node
+    key_dtype = np.int32 if int(ranks.max()).bit_length() + shift <= 31 else np.int64
+    positions = np.arange(y.size, dtype=key_dtype)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -140,7 +167,7 @@ def _grow_tree(xt: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
         value.append(0.0)
         return len(feature) - 1
 
-    # Explicit stack: (node index, row indices, depth).
+    # Explicit stack: (node index, ascending sample positions, depth).
     root = new_node()
     stack = [(root, np.arange(y.size), 0)]
     while stack:
@@ -156,16 +183,22 @@ def _grow_tree(xt: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
         ):
             continue
         feats = rng.choice(d, size=k_feats, replace=False)
+        src = sample[rows]
         best = None
         for b in range(0, k_feats, BLOCK_FEATURES):
             block = feats[b : b + BLOCK_FEATURES]
-            cand = _best_block_split(xt[block[:, None], rows], ys, spec.min_samples_leaf)
+            keys = ranks[block[:, None], src].astype(key_dtype, copy=False)
+            keys <<= shift
+            keys |= positions[: rows.size]
+            cand = _best_block_split(keys, ys, spec.min_samples_leaf, shift)
             if cand is not None and (best is None or cand[0] < best[0]):
-                best = (cand[0], int(block[cand[1]]), cand[2])
+                best = (cand[0], int(block[cand[1]]), cand[2], cand[3])
         if best is None:
             continue
-        _, f, thr = best
-        go_left = xt[f, rows] <= thr
+        _, f, lo, hi = best
+        xf = x[src, f]
+        thr = 0.5 * (xf[lo] + xf[hi])
+        go_left = xf <= thr
         feature[node] = f
         threshold[node] = thr
         left[node] = new_node()
@@ -182,16 +215,6 @@ def _grow_tree(xt: np.ndarray, y: np.ndarray, spec: ForestSpec, rng) -> Tree:
     )
 
 
-def _feature_major(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``x[rows].T`` as a C-contiguous (d, n) array, so each feature's sample
-    is contiguous. Copied ``BLOCK_FEATURES`` columns at a time: a one-shot
-    transpose would hold a second full-size copy."""
-    xt = np.empty((x.shape[1], rows.size))
-    for j in range(0, x.shape[1], BLOCK_FEATURES):
-        xt[j : j + BLOCK_FEATURES] = x[rows, j : j + BLOCK_FEATURES].T
-    return xt
-
-
 def forest_fit(x: np.ndarray, y: np.ndarray, spec: ForestSpec = ForestSpec()) -> Forest:
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -201,12 +224,13 @@ def forest_fit(x: np.ndarray, y: np.ndarray, spec: ForestSpec = ForestSpec()) ->
         raise ValueError("forest_fit needs at least one row")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("forest_fit needs finite features and targets")
+    ranks = _dense_ranks(x)
     seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_trees)
     trees = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng(seeds[t])
-        rows = rng.integers(0, y.size, size=y.size) if spec.bootstrap else np.arange(y.size)
-        trees.append(_grow_tree(_feature_major(x, rows), y[rows], spec, rng))
+        sample = rng.integers(0, y.size, size=y.size) if spec.bootstrap else np.arange(y.size)
+        trees.append(_grow_tree(x, ranks, sample, y[sample], spec, rng))
     return Forest(spec=spec, n_features=x.shape[1], trees=tuple(trees))
 
 

@@ -82,14 +82,25 @@ def variant_tests(results: list[EvalResult], metric: str = "r"):
     for every (strategy, region_set, band, offset_ms) group holding at least
     two decoding variants over at least three shared sessions, yielded as
     (group, outcome) pairs. Autocorrelation rows are reference curves, not
-    decoders, and are excluded."""
+    decoders, and are excluded. The speed-history reference (``speed_rnn``)
+    reads no EEG, so its rows, labelled all/fullband, join every group of
+    their strategy and offset once, and form their own group only where no
+    EEG row shares that strategy and offset."""
     slots: dict[tuple, dict[str, dict[str, float]]] = {}
+    speed_rows = []
     for res in results:
         if res.model == "autocorrelation":
             continue
+        if res.model == "speed_rnn":
+            speed_rows.append(res)
+            continue
         ctx = (res.strategy, res.region_set, res.band, res.offset_ms)
-        table = slots.setdefault(ctx, {})
-        table.setdefault(res.model, {})[res.session_id] = getattr(res, metric)
+        slots.setdefault(ctx, {}).setdefault(res.model, {})[res.session_id] = getattr(res, metric)
+    eeg_ctxs = list(slots)
+    for res in speed_rows:
+        ctxs = [c for c in eeg_ctxs if (c[0], c[3]) == (res.strategy, res.offset_ms)]
+        for ctx in ctxs or [(res.strategy, res.region_set, res.band, res.offset_ms)]:
+            slots.setdefault(ctx, {}).setdefault(res.model, {})[res.session_id] = getattr(res, metric)
     for ctx in sorted(slots):
         table = slots[ctx]
         if len(table) < 2:

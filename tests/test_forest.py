@@ -1,13 +1,14 @@
 """Bagged CART regression forest."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locodec.forest import Forest, ForestSpec, Tree, _sort_block, forest_fit, forest_predict
+from locodec.forest import Forest, ForestSpec, Tree, _n_split_features, forest_fit, forest_predict
 from locodec.stats import pearson_r
 
 
@@ -109,8 +110,6 @@ def test_predictions_within_training_range(seed):
 
 
 def test_feature_subset_size_third_rule():
-    from locodec.forest import _n_split_features
-
     assert _n_split_features(ForestSpec(), 640) == 214  # ceil(640/3)
     assert _n_split_features(ForestSpec(), 3) == 1
     assert _n_split_features(ForestSpec(max_features="all"), 10) == 10
@@ -134,19 +133,6 @@ def test_fit_rejects_non_finite_inputs():
     for bad_x, bad_y in ((np.where(x == 3.0, np.nan, x), y), (x, np.where(y == 2.0, np.inf, y))):
         with pytest.raises(ValueError, match="finite"):
             forest_fit(bad_x, bad_y, ForestSpec(n_trees=1))
-
-
-def test_sort_guard_falls_back_to_stable_order():
-    """Tied x with differing y: numpy's default argsort orders the ties
-    differently from a stable sort, so the guard must re-sort the block."""
-    rng = np.random.default_rng(0)
-    xb = rng.integers(0, 4, size=(4, 300)).astype(np.float64)
-    y = rng.normal(size=300)
-    stable = np.argsort(xb, axis=1, kind="stable")
-    assert not np.array_equal(y[np.argsort(xb, axis=1)], y[stable])
-    xs, ys = _sort_block(xb, y)
-    np.testing.assert_array_equal(xs, np.take_along_axis(xb, stable, axis=1))
-    np.testing.assert_array_equal(ys, y[stable])
 
 
 def _windowed_session(n_windows=420, n_channels=32, window_len=20, seed=0):
@@ -221,3 +207,154 @@ def test_trees_match_pinned_checksums(name):
     x, y, spec = _checksum_fixtures()[name]
     model = forest_fit(x, y, spec)
     assert [_tree_digest(t) for t in model.trees] == TREE_DIGESTS[name]
+
+
+def _reference_split(xt, y, feats, min_leaf):
+    """Per-feature stable scan: (sse, feature, threshold) of the lowest-SSE
+    cut, a feature replacing the best only on a strictly smaller SSE, or
+    None if no feature has a valid cut."""
+    n = y.size
+    n_left = np.arange(1.0, n)
+    n_right = n - n_left
+    best = None
+    for f in feats:
+        order = np.argsort(xt[f], kind="stable")
+        xs, ys = xt[f][order], y[order]
+        csum, csq = np.cumsum(ys), np.cumsum(ys * ys)
+        sum_l, sq_l = csum[:-1], csq[:-1]
+        sum_r, sq_r = csum[-1] - sum_l, csq[-1] - sq_l
+        sse = (sq_l - sum_l * sum_l / n_left) + (sq_r - sum_r * sum_r / n_right)
+        valid = (xs[1:] > xs[:-1]) & (n_left >= min_leaf) & (n_right >= min_leaf)
+        if not valid.any():
+            continue
+        i = int(np.argmin(np.where(valid, sse, np.inf)))
+        if best is None or sse[i] < best[0]:
+            best = (float(sse[i]), int(f), 0.5 * (xs[i] + xs[i + 1]))
+    return best
+
+
+def _reference_fit(x, y, spec):
+    """The forest of ``spec`` grown with :func:`_reference_split`: the same
+    bootstrap draws, feature draws and node order as ``forest_fit``."""
+    trees = []
+    for seed in np.random.SeedSequence(spec.seed).spawn(spec.n_trees):
+        rng = np.random.default_rng(seed)
+        sample = rng.integers(0, y.size, size=y.size) if spec.bootstrap else np.arange(y.size)
+        xt, yt = x[sample].T, y[sample]
+        nodes = []  # [feature, threshold, left, right, value]
+        stack = [(0, np.arange(y.size), 0)]
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        while stack:
+            node, rows, depth = stack.pop()
+            ys = yt[rows]
+            nodes[node][4] = float(ys.mean())
+            if (
+                (spec.max_depth is not None and depth >= spec.max_depth)
+                or rows.size < max(2, 2 * spec.min_samples_leaf)
+                or np.ptp(ys) == 0.0
+            ):
+                continue
+            feats = rng.choice(xt.shape[0], size=_n_split_features(spec, xt.shape[0]), replace=False)
+            best = _reference_split(xt[:, rows], ys, feats, spec.min_samples_leaf)
+            if best is None:
+                continue
+            _, f, thr = best
+            go_left = xt[f, rows] <= thr
+            nodes[node][:4] = [f, thr, len(nodes), len(nodes) + 1]
+            nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+            stack.append((len(nodes) - 2, rows[go_left], depth + 1))
+            stack.append((len(nodes) - 1, rows[~go_left], depth + 1))
+        feature, threshold, left, right, value = zip(*nodes)
+        trees.append(
+            Tree(
+                feature=np.asarray(feature, dtype=np.int32),
+                threshold=np.asarray(threshold, dtype=np.float32).astype(np.float64),
+                left=np.asarray(left, dtype=np.int32),
+                right=np.asarray(right, dtype=np.int32),
+                value=np.asarray(value, dtype=np.float32).astype(np.float64),
+            )
+        )
+    return trees
+
+
+def _assert_trees_equal(model, reference):
+    assert [_tree_digest(t) for t in model.trees] == [_tree_digest(t) for t in reference]
+
+
+@pytest.mark.parametrize("name", sorted(TREE_DIGESTS))
+def test_reference_scan_reproduces_pinned_checksums(name):
+    x, y, spec = _checksum_fixtures()[name]
+    assert [_tree_digest(t) for t in _reference_fit(x, y, spec)] == TREE_DIGESTS[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    d=st.integers(1, 7),
+    n_levels=st.integers(1, 6),
+    n_dup=st.integers(0, 20),
+    min_leaf=st.integers(1, 3),
+    bootstrap=st.booleans(),
+    max_features=st.sampled_from(["third", "all", 0.4, 0.75]),
+    max_depth=st.sampled_from([None, 1, 2, 4]),
+)
+def test_trees_match_stable_per_feature_scan(seed, n, d, n_levels, n_dup, min_leaf, bootstrap, max_features, max_depth):
+    """Tied values (few levels, +0.0 and -0.0 among them), duplicated rows
+    and every spec option give the reference scan's trees, bit for bit."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([0.0, -0.0, 1.5, -2.25, 3.0, 1e-300])[:n_levels]
+    x = rng.choice(levels, size=(n, d)) + (rng.normal(size=(n, d)) if n_levels == 6 else 0.0)
+    y = rng.integers(0, 4, size=n) * 0.5 + (rng.normal(size=n) if seed % 2 else 0.0)
+    dup = rng.integers(0, n, size=n_dup)
+    x, y = np.concatenate([x, x[dup]]), np.concatenate([y, y[dup]])
+    spec = ForestSpec(
+        n_trees=2,
+        max_depth=max_depth,
+        min_samples_leaf=min_leaf,
+        bootstrap=bootstrap,
+        max_features=max_features,
+        seed=seed % 1000,
+    )
+    _assert_trees_equal(forest_fit(x, y, spec), _reference_fit(x, y, spec))
+
+
+def test_wide_keys_match_reference_scan():
+    """40 000 distinct values per feature: rank bits plus position bits come
+    to 32, past an int32 key, so the split search uses int64 keys."""
+    n = 40_000
+    assert 2 * (n - 1).bit_length() > 31
+    rng = np.random.default_rng(8)
+    x = np.column_stack([rng.permutation(n), rng.permutation(n)]) / 7.0
+    y = np.sin(x[:, 0] / 900.0) + 0.1 * rng.normal(size=n)
+    spec = ForestSpec(n_trees=2, max_depth=2, max_features="all", seed=6)
+    _assert_trees_equal(forest_fit(x, y, spec), _reference_fit(x, y, spec))
+
+
+def test_fit_memory_stays_below_input_size():
+    """Bound: the traced allocation peak of a fit stays below 1.25 times the
+    input's bytes. The rank array takes half of them and a node's scratch is
+    a few blocks; a per-tree float64 copy of the sample would exceed it."""
+    x, y = _windowed_session(n_windows=1580)
+    assert x.dtype == np.float64 and x.flags.c_contiguous  # no copy inside forest_fit
+    tracemalloc.start()
+    try:
+        forest_fit(x, y, ForestSpec(n_trees=3, max_depth=5, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * x.nbytes
+
+
+def test_rows_follow_x_where_the_midpoint_rounds_up():
+    """1 + 2**-52 and 1 + 2**-51 are adjacent floats whose midpoint rounds
+    onto the upper one, so the row holding it goes left with the lower
+    rows, as it does at prediction."""
+    lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    x = np.array([[1.0], [lo], [hi], [3.0]])
+    y = np.array([0.0, 0.0, 10.0, 10.0])
+    spec = ForestSpec(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
+    model = forest_fit(x, y, spec)
+    assert 0.5 * (lo + hi) == hi
+    np.testing.assert_array_equal(model.trees[0].value, np.float32([5.0, 10.0 / 3.0, 10.0]).astype(np.float64))
+    _assert_trees_equal(model, _reference_fit(x, y, spec))

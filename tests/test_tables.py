@@ -6,6 +6,7 @@ table is written inside ``locodec experiment``. A change to the shared
 table format shows up here as a diff against the expected text.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -179,6 +180,25 @@ def test_tests_rows_name_their_offset():
     friedman = [dict(zip(columns, line.split(","))) for line in lines[2:] if line.endswith(",friedman")]
     assert sorted(row["offset_ms"] for row in friedman) == ["-100", "0", "100"]
     assert len({row["comparison"] for row in friedman}) == 1
+
+
+def test_speed_reference_is_tested_in_every_cell_of_its_offset():
+    """Speed-history rows, labelled all/fullband, join each EEG cell of their
+    strategy and offset once (the all/fullband cell included), and stay in
+    a group of their own where no EEG row shares their offset."""
+    sessions = [f"r{i // 2 + 1}_s{i % 2 + 1}" for i in range(4)]
+    cells = (("all", "fullband"), ("all", "theta"), ("left", "theta"))
+    rows = [
+        replace(_row(s, "linear", offset, 0.4 + 0.1 * i + 0.01 * k), region_set=region, band=band)
+        for offset in (0, 100)
+        for k, (region, band) in enumerate(cells)
+        for i, s in enumerate(sessions)
+    ] + [_row(s, "speed_rnn", offset, 0.45 + 0.1 * i) for offset in (0, 100, 200) for i, s in enumerate(sessions)]
+    friedman = [(ctx, t) for ctx, t in reporting.variant_tests(rows) if t.method == "friedman"]
+    assert sorted(ctx for ctx, _ in friedman) == sorted(
+        ("single_80", region, band, offset) for offset in (0, 100) for region, band in cells
+    )
+    assert {(t.comparison, t.n) for _, t in friedman} == {("linear|speed_rnn", 4)}
 
 
 CLI_CFG = {
