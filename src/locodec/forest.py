@@ -23,10 +23,10 @@ block replaces the running best only on a strictly smaller SSE, so ties go
 to the first feature drawn, then to the first cut. Keys are int32 when the
 rank bits plus the position bits fit in 31, otherwise int64.
 
-The threshold is the midpoint of the two feature values at the cut, and the
-node's rows are sent left by comparing their values, not their ranks, with
-it: the midpoint of two adjacent floats can round onto the upper value, and
-then that value goes left, as it does at prediction.
+The threshold is the midpoint of the two feature values at the cut, or the
+lower value where the midpoint is not below the upper one (two adjacent
+floats, or an overflowing sum), and the node's rows are sent left by
+comparing their values, not their ranks, with it, as at prediction.
 """
 
 from __future__ import annotations
@@ -198,6 +198,8 @@ def _grow_tree(x: np.ndarray, ranks: np.ndarray, sample: np.ndarray, y: np.ndarr
         _, f, lo, hi = best
         xf = x[src, f]
         thr = 0.5 * (xf[lo] + xf[hi])
+        if not xf[lo] <= thr < xf[hi]:
+            thr = xf[lo]
         go_left = xf <= thr
         feature[node] = f
         threshold[node] = thr

@@ -3,9 +3,9 @@
 One :class:`ExperimentPlan` describes a cell of the experiment grid (a
 strategy, a decoder family, a region set, a band, a target offset). Running
 a plan over a session roster yields :class:`EvalResult` rows plus hygiene
-records proving, by explicit index-set intersection, that no test-segment
-sample ever reached normalizer fitting, training, validation, or
-fine-tuning.
+records proving, by range arithmetic on the sample ranges each unit used,
+that no test-segment sample ever reached normalizer fitting, training,
+validation, or fine-tuning.
 
 Seeding: every job seed is derived by hashing (master seed, session id,
 cell id, role) with SHA-256, so runs are reproducible regardless of
@@ -143,38 +143,38 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class HygieneRecord:
-    """Index sets actually used by one run, for leakage assertions."""
+    """Sample ranges one unit used, for leakage assertions: the normalizer's
+    fit range (if it fit one) and each fit or validation window set's inputs,
+    each such set's targets, and the test set's inputs and targets."""
 
     session_id: str
     strategy: str
     test_start: int
     test_stop: int
-    fit_input_indices: np.ndarray
-    fit_target_indices: np.ndarray
-    test_input_indices: np.ndarray
-    test_target_indices: np.ndarray
+    fit_inputs: tuple[range, ...]
+    fit_targets: tuple[range, ...]
+    test_inputs: range
+    test_targets: range
 
 
 def check_no_test_leakage(rec: HygieneRecord) -> None:
     """Raise :class:`LeakageError` unless fitting stayed strictly outside the
     test range and evaluation stayed strictly inside it."""
-    for what, arr in (("input samples", rec.fit_input_indices), ("targets", rec.fit_target_indices)):
-        arr = np.asarray(arr)
-        n_bad = np.count_nonzero((arr >= rec.test_start) & (arr < rec.test_stop))
-        if n_bad:
-            raise LeakageError(f"{rec.session_id}/{rec.strategy}: {n_bad} fitting {what} inside test range")
-    for name, arr in (("inputs", rec.test_input_indices), ("targets", rec.test_target_indices)):
-        if arr.size and (arr.min() < rec.test_start or arr.max() >= rec.test_stop):
-            raise LeakageError(
-                f"{rec.session_id}/{rec.strategy}: evaluated {name} leave the test range"
-            )
+    test = range(rec.test_start, rec.test_stop)
+    for what, spans in (("input samples", rec.fit_inputs), ("targets", rec.fit_targets)):
+        for span in spans:
+            if max(span.start, test.start) < min(span.stop, test.stop):
+                raise LeakageError(f"{rec.session_id}/{rec.strategy}: fitting {what} {span} inside test {test}")
+    for name, span in (("inputs", rec.test_inputs), ("targets", rec.test_targets)):
+        if span and (span.start < test.start or span.stop > test.stop):
+            raise LeakageError(f"{rec.session_id}/{rec.strategy}: evaluated {name} leave the test range {test}")
 
 
-def _input_indices(starts: np.ndarray) -> np.ndarray:
-    """The samples read by windows at ``starts``, one contiguous run."""
+def _spans(starts: np.ndarray, targets: np.ndarray) -> tuple[range, range]:
+    """The (input, target) sample ranges of one contiguous run of windows."""
     if starts.size == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(starts[0], starts[-1] + WINDOW_LEN, dtype=np.int64)
+        return range(0), range(0)
+    return range(starts[0], starts[-1] + WINDOW_LEN), range(targets[0], targets[-1] + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +220,13 @@ def _split_windows(windows, rng: range, test: range, k: int, evaluate: bool = Fa
 
 
 def _prepare(session: Session, plan: ExperimentPlan) -> Session:
-    prepared = session
     if plan.region_label != "all":
         wanted = set(plan.region_set)
         idx = [i for i, r in enumerate(session.region_map) if r in wanted]
         if not idx:
             raise PlanError(f"session {session.id} has no channels in {sorted(wanted)}")
-        prepared = prepared.select_channels(idx)
-    prepared = band_isolate(prepared, band(plan.band))
-    return prepared
+        session = session.select_channels(idx)
+    return band_isolate(session, band(plan.band))
 
 
 def _safe_r(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -279,9 +277,9 @@ def _run_unit(
     t0 = time.perf_counter()
     fit_rng, val_rng, test_rng = ranges
     prep = _prepare(session, plan)
-    norm_range = range(0)
+    norm_ranges = ()
     if isinstance(normalizer, range):
-        norm_range, normalizer = normalizer, fit_normalizer(prep, normalizer)
+        norm_ranges, normalizer = (normalizer,), fit_normalizer(prep, normalizer)
     # rebound, so that a filtered or channel-selected copy is not held
     # through training
     prep = normalized_session(prep, normalizer)
@@ -319,18 +317,17 @@ def _run_unit(
         seed=seed,
         source_id=source_id,
     )
-    empty = np.empty(0, dtype=np.int64)
+    fit_spans = [_spans(f[0], f[3]) for f in fit_sets]
+    test_inputs, test_targets = _spans(s_te, t_te)
     hygiene = HygieneRecord(
         session_id=session.id,
         strategy=plan.strategy,
         test_start=test_rng.start,
         test_stop=test_rng.stop,
-        fit_input_indices=np.unique(np.concatenate(
-            [*(_input_indices(f[0]) for f in fit_sets), np.arange(norm_range.start, norm_range.stop)]
-        )),
-        fit_target_indices=np.unique(np.concatenate([empty, *(f[3] for f in fit_sets)])),
-        test_input_indices=_input_indices(s_te),
-        test_target_indices=np.unique(t_te),
+        fit_inputs=(*norm_ranges, *(inputs for inputs, _ in fit_spans)),
+        fit_targets=tuple(targets for _, targets in fit_spans),
+        test_inputs=test_inputs,
+        test_targets=test_targets,
     )
     check_no_test_leakage(hygiene)
     return SingleRunOutput(result, decoder, normalizer, report, hygiene, time.perf_counter() - t0)

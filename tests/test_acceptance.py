@@ -431,7 +431,7 @@ def test_criterion_8_hygiene_and_reproducibility(tmp_path):
         assert rec.test_stop > rec.test_start
         # zero-shot target records fit nothing by design; every record must
         # still have evaluated inside a non-empty test range
-        assert rec.test_target_indices.size
+        assert len(rec.test_targets)
     strategies_seen = {rec.strategy for rec in records}
     checks.append(
         (f"leakage intersections empty across {len(records)} runs, "
@@ -440,7 +440,7 @@ def test_criterion_8_hygiene_and_reproducibility(tmp_path):
 
     # The assertion must be live: a record doctored to fit on a test sample
     # has to raise.
-    doctored = replace(records[0], fit_input_indices=np.array([records[0].test_start]))
+    doctored = replace(records[0], fit_inputs=(range(records[0].test_start, records[0].test_start + 1),))
     with pytest.raises(LeakageError):
         check_no_test_leakage(doctored)
     checks.append(("doctored record raises LeakageError", True))

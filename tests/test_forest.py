@@ -212,7 +212,9 @@ def test_trees_match_pinned_checksums(name):
 def _reference_split(xt, y, feats, min_leaf):
     """Per-feature stable scan: (sse, feature, threshold) of the lowest-SSE
     cut, a feature replacing the best only on a strictly smaller SSE, or
-    None if no feature has a valid cut."""
+    None if no feature has a valid cut. The threshold is the midpoint of the
+    values at the cut, or the lower value where the midpoint is not below
+    the upper one."""
     n = y.size
     n_left = np.arange(1.0, n)
     n_right = n - n_left
@@ -229,7 +231,8 @@ def _reference_split(xt, y, feats, min_leaf):
             continue
         i = int(np.argmin(np.where(valid, sse, np.inf)))
         if best is None or sse[i] < best[0]:
-            best = (float(sse[i]), int(f), 0.5 * (xs[i] + xs[i + 1]))
+            thr = 0.5 * (xs[i] + xs[i + 1])
+            best = (float(sse[i]), int(f), thr if xs[i] <= thr < xs[i + 1] else xs[i])
     return best
 
 
@@ -348,13 +351,31 @@ def test_fit_memory_stays_below_input_size():
 
 def test_rows_follow_x_where_the_midpoint_rounds_up():
     """1 + 2**-52 and 1 + 2**-51 are adjacent floats whose midpoint rounds
-    onto the upper one, so the row holding it goes left with the lower
-    rows, as it does at prediction."""
+    onto the upper one, so the cut's threshold is the lower one and the row
+    holding the upper value goes right, with the higher rows."""
     lo, hi = 1.0 + 2.0**-52, 1.0 + 2.0**-51
     x = np.array([[1.0], [lo], [hi], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     spec = ForestSpec(n_trees=1, max_depth=1, bootstrap=False, max_features="all")
     model = forest_fit(x, y, spec)
     assert 0.5 * (lo + hi) == hi
-    np.testing.assert_array_equal(model.trees[0].value, np.float32([5.0, 10.0 / 3.0, 10.0]).astype(np.float64))
+    np.testing.assert_array_equal(model.trees[0].value, [5.0, 0.0, 10.0])
+    _assert_trees_equal(model, _reference_fit(x, y, spec))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    "column",
+    [[1.0 + 2.0**-52, 1.0 + 2.0**-51], [1e308, 1.7e308], [-1.7e308, -1e308]],
+    ids=["midpoint_rounds_up", "sum_overflows", "sum_overflows_negative"],
+)
+@pytest.mark.parametrize("max_depth", [3, None])
+def test_a_cut_between_two_rows_leaves_both_children_nonempty(column, max_depth):
+    """Two rows whose midpoint is not strictly between them (rounded onto
+    the upper value, or an overflowed sum) still split one each side: no
+    leaf is empty (NaN), and an unlimited tree stops growing."""
+    x, y = np.array(column)[:, None], np.array([0.0, 1.0])
+    spec = ForestSpec(n_trees=1, max_depth=max_depth, bootstrap=False, max_features="all")
+    model = forest_fit(x, y, spec)
+    np.testing.assert_array_equal(model.trees[0].value, [0.5, 0.0, 1.0])
     _assert_trees_equal(model, _reference_fit(x, y, spec))

@@ -8,13 +8,14 @@ assertions, seed derivation, identity configurations, and the results
 table format.
 """
 
+import pickle
 import tracemalloc
 import weakref
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locodec import protocols
@@ -212,13 +213,18 @@ def _record(**kw):
         strategy="single_80",
         test_start=100,
         test_stop=200,
-        fit_input_indices=np.arange(0, 80),
-        fit_target_indices=np.arange(19, 80),
-        test_input_indices=np.arange(100, 200),
-        test_target_indices=np.arange(119, 200),
+        fit_inputs=(range(0, 80),),
+        fit_targets=(range(19, 80),),
+        test_inputs=range(100, 200),
+        test_targets=range(119, 200),
     )
     base.update(kw)
     return HygieneRecord(**base)
+
+
+def _expand(spans):
+    """The sorted, de-duplicated int64 samples of ``spans``."""
+    return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *(np.arange(r.start, r.stop) for r in spans)]))
 
 
 def test_leakage_clean_record_passes():
@@ -226,18 +232,74 @@ def test_leakage_clean_record_passes():
 
 
 def test_leakage_detects_fit_input_in_test_range():
-    with pytest.raises(LeakageError, match="fitting input"):
-        check_no_test_leakage(_record(fit_input_indices=np.array([50, 150])))
+    with pytest.raises(LeakageError, match=r"fitting input samples range\(150, 151\) inside"):
+        check_no_test_leakage(_record(fit_inputs=(range(50, 51), range(150, 151))))
 
 
 def test_leakage_detects_fit_target_in_test_range():
     with pytest.raises(LeakageError, match="fitting target"):
-        check_no_test_leakage(_record(fit_target_indices=np.array([199])))
+        check_no_test_leakage(_record(fit_targets=(range(199, 200),)))
 
 
 def test_leakage_detects_eval_escaping_test_range():
     with pytest.raises(LeakageError, match="leave the test range"):
-        check_no_test_leakage(_record(test_target_indices=np.array([150, 205])))
+        check_no_test_leakage(_record(test_targets=range(150, 206)))
+
+
+def _array_rule_flags(rec):
+    """The audit as it was over index arrays: a fitting sample (input or
+    target) in the test range, or an evaluated sample outside it."""
+    test = np.arange(rec.test_start, rec.test_stop)
+    fit = [np.arange(r.start, r.stop) for r in (*rec.fit_inputs, *rec.fit_targets)]
+    evaluated = [np.arange(r.start, r.stop) for r in (rec.test_inputs, rec.test_targets)]
+    return any(np.isin(a, test).any() for a in fit) or any((~np.isin(a, test)).any() for a in evaluated)
+
+
+_SPAN = st.builds(lambda start, n: range(start, start + n), st.integers(0, 60), st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    test_start=st.integers(0, 40),
+    n_test=st.integers(1, 20),
+    fit_inputs=st.lists(_SPAN, max_size=3),
+    fit_targets=st.lists(_SPAN, max_size=2),
+    test_inputs=_SPAN,
+    test_targets=_SPAN,
+)
+# fit ranges that end at test_start (clean) or at test_start + 1 (one sample in)
+@example(test_start=20, n_test=10, fit_inputs=[range(0, 20)], fit_targets=[], test_inputs=range(20, 30),
+         test_targets=range(25, 30))
+@example(test_start=20, n_test=10, fit_inputs=[range(0, 21)], fit_targets=[], test_inputs=range(20, 30),
+         test_targets=range(25, 30))
+@example(test_start=20, n_test=10, fit_inputs=[], fit_targets=[range(5, 20)], test_inputs=range(20, 30),
+         test_targets=range(25, 30))
+@example(test_start=20, n_test=10, fit_inputs=[], fit_targets=[range(5, 21)], test_inputs=range(20, 30),
+         test_targets=range(25, 30))
+# test ranges that stop at test_stop (clean) or at test_stop + 1 (one sample out)
+@example(test_start=20, n_test=10, fit_inputs=[], fit_targets=[], test_inputs=range(20, 30),
+         test_targets=range(25, 30))
+@example(test_start=20, n_test=10, fit_inputs=[], fit_targets=[], test_inputs=range(20, 31),
+         test_targets=range(25, 30))
+@example(test_start=20, n_test=10, fit_inputs=[], fit_targets=[], test_inputs=range(20, 30),
+         test_targets=range(25, 31))
+def test_range_audit_flags_exactly_what_the_array_rule_flags(
+    test_start, n_test, fit_inputs, fit_targets, test_inputs, test_targets
+):
+    rec = _record(
+        test_start=test_start,
+        test_stop=test_start + n_test,
+        fit_inputs=tuple(fit_inputs),
+        fit_targets=tuple(fit_targets),
+        test_inputs=test_inputs,
+        test_targets=test_targets,
+    )
+    try:
+        check_no_test_leakage(rec)
+        raised = False
+    except LeakageError:
+        raised = True
+    assert raised == _array_rule_flags(rec)
 
 
 @pytest.mark.parametrize(
@@ -271,9 +333,9 @@ def test_hygiene_records_the_normalizer_fit_range(strategy, fits_normalizer, off
     assert len(records) >= 1
     for rec in records:
         if fits_normalizer:
-            assert np.isin(np.arange(norm_range.start, norm_range.stop), rec.fit_input_indices).all()
+            assert rec.fit_inputs[0] == norm_range
         else:
-            assert rec.fit_input_indices.size == 0
+            assert rec.fit_inputs == ()
 
 
 def _broadcast_input_indices(starts):
@@ -302,6 +364,8 @@ def _broadcast_record_arrays(fit_sets, test_set, norm_range):
 @pytest.mark.parametrize("offset_ms", [-500, 0, 500])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_hygiene_arrays_equal_the_broadcast_construction(monkeypatch, strategy, offset_ms):
+    """Each record's ranges, expanded to samples, are bitwise the arrays of
+    the per-window broadcast construction."""
     references, unit = [], {"fit_sets": [], "norm_range": range(0)}
     split_windows, fit_norm = protocols._split_windows, protocols.fit_normalizer
 
@@ -328,25 +392,27 @@ def test_hygiene_arrays_equal_the_broadcast_construction(monkeypatch, strategy, 
         records = run_transfer(sessions, plan).hygiene
     assert len(records) == len(references) >= len(sessions)
     for rec, ref in zip(records, references):
-        got = (rec.fit_input_indices, rec.fit_target_indices, rec.test_input_indices, rec.test_target_indices)
+        got = (_expand(rec.fit_inputs), _expand(rec.fit_targets), _expand([rec.test_inputs]), _expand([rec.test_targets]))
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_a_long_unit_audits_without_per_window_indices():
     """One single_80 linear unit over 173,000 samples (about 29 min) of 2
-    channels, with no training epochs. Its audit holds index spans, not
-    every window's WINDOW_LEN indices, so the unit's traced peak stays
-    below 30 MB (about 60 MB with per-window indices)."""
+    channels, with no training epochs. Its audit holds a few sample ranges,
+    not every window's WINDOW_LEN indices, so the unit's traced peak stays
+    below 30 MB (about 60 MB with per-window indices) and its record
+    pickles to a few hundred bytes."""
     session = make_session(n_channels=2, n_samples=173_000)
     plan = ExperimentPlan(decoder=DecoderSpec(family="linear", n_channels=2), train=TrainConfig(max_epochs=0))
     tracemalloc.start()
     try:
-        run_single_session(session, plan)
+        run = run_single_session(session, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 30e6, f"peak {peak / 1e6:.1f} MB"
+    assert len(pickle.dumps(run.hygiene)) < 1000
 
 
 def test_a_band_unit_frees_its_unnormalized_copy_before_fitting(monkeypatch):
@@ -431,8 +497,8 @@ def test_single_session_result_row_and_hygiene():
     assert out.report is not None
     rec = out.hygiene
     test_set = np.arange(rec.test_start, rec.test_stop)
-    assert np.intersect1d(rec.fit_input_indices, test_set).size == 0
-    assert np.intersect1d(rec.fit_target_indices, test_set).size == 0
+    assert np.intersect1d(_expand(rec.fit_inputs), test_set).size == 0
+    assert np.intersect1d(_expand(rec.fit_targets), test_set).size == 0
 
 
 def test_single_session_rejects_transfer_strategies():
@@ -525,6 +591,28 @@ def test_a_grid_kind_starts_one_worker_pool(monkeypatch, run):
     out = run(sessions, ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1)))
     assert len(out.timings) >= 2 * len(sessions)  # two cells or more
     assert started == [{"max_workers": 2}]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda sessions, plan, jobs: run_region_analysis(sessions, plan, include_pairs=False, jobs=jobs),
+        lambda sessions, plan, jobs: run_band_analysis(sessions, plan, bands=("fullband", "theta"), jobs=jobs),
+        lambda sessions, plan, jobs: run_offset_analysis(sessions, plan, offsets_ms=(-100, 0, 100), jobs=jobs),
+        lambda sessions, plan, jobs: run_transfer(
+            sessions, replace(plan, strategy="finetune_cross_session"), jobs=jobs
+        ),
+    ],
+    ids=["regions", "bands", "offsets", "finetune"],
+)
+def test_hygiene_records_agree_across_worker_counts(run):
+    """The audit is part of a run's output: --jobs 2 and --jobs 1 give equal
+    records, in the same order."""
+    sessions = tiny_fleet(n_rats=1, sessions_per_rat=2, speed_bias=1.0)
+    plan = ExperimentPlan(decoder=LIN, train=TrainConfig(max_epochs=1))
+    serial = run(sessions, plan, 1).hygiene
+    assert len(serial) >= 2 * len(sessions)
+    assert run(sessions, plan, 2).hygiene == serial
 
 
 def test_single_10_trains_on_less_data_than_single_80():
