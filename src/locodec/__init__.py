@@ -19,6 +19,7 @@ from .errors import (
     LeakageError,
     LocodecError,
     ModelLoadError,
+    OffsetError,
     PlanError,
     ShapeError,
     SpecMismatchError,

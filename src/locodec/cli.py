@@ -106,6 +106,9 @@ def _load_sessions(cfg: ResolvedRun):
     if cfg.apply_gate:
         gate = apply_inclusion_gate(sessions, threshold=cfg.iqr_threshold)
         sessions = list(gate.included)
+        if not sessions:
+            n = len(gate.excluded)
+            raise ConfigError(f"the inclusion gate retained no session ({n} excluded at threshold {gate.threshold:g})")
     return sessions, gate
 
 

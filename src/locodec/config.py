@@ -19,6 +19,7 @@ from .decoders import DecoderSpec, FAMILIES
 from .dsp import BAND_NAMES
 from .errors import ConfigError, PlanError
 from .protocols import STRATEGIES, DEFAULT_OFFSETS_MS, ExperimentPlan
+from .sessions import offset_samples_for
 from .synthetic import FleetSpec
 from .trainer import TrainConfig
 
@@ -241,6 +242,8 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
         raise ConfigError(f"experiment.kind={kind} needs plan.strategy in {KIND_STRATEGIES[kind]}")
     if values["plan.band"] not in BAND_NAMES:
         raise ConfigError(f"plan.band must be one of {BAND_NAMES}")
+    for offset in values["experiment.offsets_ms"]:
+        offset_samples_for(offset)  # an OffsetError is a ConfigError
 
     try:
         fleet = FleetSpec(**_section(values, "dataset.synthetic."))

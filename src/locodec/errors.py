@@ -68,5 +68,10 @@ class ConfigError(LocodecError):
     """Run configuration failed to parse or contains unknown keys."""
 
 
+class OffsetError(ConfigError, ValueError):
+    """A time offset that is not a whole number of samples: a malformed
+    input, and a ValueError to callers of the windowing functions."""
+
+
 class LeakageError(LocodecError):
     """A data-hygiene assertion failed: test samples reached a fitting stage."""

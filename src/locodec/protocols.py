@@ -3,9 +3,9 @@
 One :class:`ExperimentPlan` describes a cell of the experiment grid (a
 strategy, a decoder family, a region set, a band, a target offset). Running
 a plan over a session roster yields :class:`EvalResult` rows plus hygiene
-records proving, by range arithmetic on the sample ranges each unit used,
-that no test-segment sample ever reached normalizer fitting, training,
-validation, or fine-tuning.
+records proving, by range arithmetic on the input and target ranges of the
+window sets each unit used, that no test-segment sample ever reached
+normalizer fitting, training, validation, or fine-tuning.
 
 Seeding: every job seed is derived by hashing (master seed, session id,
 cell id, role) with SHA-256, so runs are reproducible regardless of
@@ -19,7 +19,8 @@ phase; transfer has two, sources over the worker pool and then pairs in
 this process. Rows, hygiene records, timings and failures are kept in unit
 order, so no output depends on scheduling. The speed-history reference of
 ``offsets`` is a unit like the others, run on a one-channel session whose
-EEG is the speed trace.
+EEG is the speed trace. Every unit is one :func:`_run_unit` call, which
+derives its (fit, early-stop, test) ranges from the plan's strategy.
 
 Window bookkeeping at nonzero offsets follows two rules. Fitting windows
 (train/validation/fine-tune) may keep shifted targets that fall in earlier
@@ -102,6 +103,7 @@ class ExperimentPlan:
             raise PlanError(f"unknown regions {sorted(unknown)}; known: {REGIONS}")
         if len(self.region_set) != len(set(self.region_set)):
             raise PlanError("region_set contains duplicates")
+        offset_samples_for(self.offset_ms)  # an offset off the sample grid is an input error
 
     @property
     def region_label(self) -> str:
@@ -170,13 +172,6 @@ def check_no_test_leakage(rec: HygieneRecord) -> None:
             raise LeakageError(f"{rec.session_id}/{rec.strategy}: evaluated {name} leave the test range {test}")
 
 
-def _spans(starts: np.ndarray, targets: np.ndarray) -> tuple[range, range]:
-    """The (input, target) sample ranges of one contiguous run of windows."""
-    if starts.size == 0:
-        return range(0), range(0)
-    return range(starts[0], starts[-1] + WINDOW_LEN), range(targets[0], targets[-1] + 1)
-
-
 # ---------------------------------------------------------------------------
 # ranges and window assembly
 
@@ -200,23 +195,23 @@ def strategy_ranges(strategy: str, n_samples: int) -> tuple[range, range, range]
     return head_train, head_val, test
 
 
-def _split_windows(windows, rng: range, test: range, k: int, evaluate: bool = False):
-    """Windows of ``rng`` from the window source ``windows`` (range ->
-    (starts, x, y)) that obey the fitting or, with ``evaluate``, the
-    evaluation target rule of the module docstring, as (starts, x, y,
-    targets); ``k`` is the offset in samples.
+def _split_windows(prep: Session, rng: range, test: range, offset_ms: int, evaluate: bool = False):
+    """The windows of ``prep`` over ``rng`` that obey the fitting or, with
+    ``evaluate``, the evaluation target rule of the module docstring, as
+    (inputs, targets, x, y): the sample ranges the kept windows read and
+    target (empty if none is kept), and their window and speed stacks.
 
-    Targets increase with the starts, and ``test`` ends the session, so no
-    target lies past it and either rule keeps one contiguous run of
-    windows. A slice selects it, and ``x`` stays a view of the source."""
-    starts, x, y = windows(rng)
-    targets = starts + WINDOW_LEN - 1 + k
-    if evaluate:
-        lo, hi = np.searchsorted(targets, (test.start + WINDOW_LEN - 1, test.stop))
-    else:
-        lo, hi = 0, np.searchsorted(targets, test.start)
-    keep = slice(lo, hi)
-    return starts[keep], x[keep], y[keep], targets[keep]
+    Starts step by one sample, and ``test`` ends the session, so no target
+    lies past it and either rule keeps one contiguous run of windows: a
+    slice, of which ``x`` is a view and which two ranges describe."""
+    starts, x, y = window_arrays(prep, rng, offset_ms)
+    lead = WINDOW_LEN - 1 + offset_samples_for(offset_ms)  # from a window's start to its target
+    target_bounds = (test.start + WINDOW_LEN - 1, test.stop) if evaluate else (0, test.start)
+    lo, hi = np.searchsorted(starts + lead, target_bounds)
+    if lo >= hi:
+        return range(0), range(0), x[lo:hi], y[lo:hi]
+    first, last = int(starts[lo]), int(starts[hi - 1])
+    return range(first, last + WINDOW_LEN), range(first + lead, last + lead + 1), x[lo:hi], y[lo:hi]
 
 
 def _prepare(session: Session, plan: ExperimentPlan) -> Session:
@@ -257,47 +252,45 @@ class SingleRunOutput:
 def _run_unit(
     session: Session,
     plan: ExperimentPlan,
-    ranges: tuple[range, range, range],
-    normalizer: Normalizer | range,
     fit,
     seed: int,
+    normalizer: Normalizer | None = None,
     source_id: str = "",
 ) -> SingleRunOutput:
-    """The one unit of work behind every protocol: prepare, normalize,
-    window, fit, predict, score and audit.
+    """The one unit of work behind every protocol: split, prepare,
+    normalize, window, fit, predict, score and audit.
 
-    ``ranges`` are the unit's (fit, early-stop, test) ranges on ``session``.
-    ``normalizer`` is used as given, or fit on the range given in its place
-    (and that range is then recorded as a fitting input). ``fit`` maps a
-    fresh decoder spec and the (x, y, x_val, y_val) window stacks to
-    (decoder, report); an already-trained Decoder in its place is only
-    evaluated.
-    ``seed`` is the fresh spec's seed and the result row's.
+    ``fit`` maps a fresh decoder spec and the (x, y, x_val, y_val) window
+    stacks to (decoder, report), on the (fit, early-stop, test) ranges of
+    ``plan.strategy``; an already-trained Decoder in its place is only
+    evaluated, on the ``single_80`` test range. ``normalizer`` is used as
+    given, or, when None, fit on the fit range, which is then recorded as
+    a fitting input. ``seed`` is the fresh spec's seed and the result row's.
     """
     t0 = time.perf_counter()
-    fit_rng, val_rng, test_rng = ranges
+    evaluate_only = isinstance(fit, Decoder)
+    strategy = "single_80" if evaluate_only else plan.strategy
+    try:
+        fit_rng, val_rng, test_rng = strategy_ranges(strategy, session.n_samples)
+    except SplitError as exc:
+        raise SplitError(f"session {session.id}: {exc}") from None
     prep = _prepare(session, plan)
-    norm_ranges = ()
-    if isinstance(normalizer, range):
-        norm_ranges, normalizer = (normalizer,), fit_normalizer(prep, normalizer)
+    norm_ranges = (fit_rng,) if normalizer is None else ()
+    normalizer = fit_normalizer(prep, fit_rng) if norm_ranges else normalizer
     # rebound, so that a filtered or channel-selected copy is not held
     # through training
     prep = normalized_session(prep, normalizer)
 
-    def windows(rng: range):
-        return window_arrays(prep, rng, plan.offset_ms)
-
-    k = offset_samples_for(plan.offset_ms)
-    fit_sets = [] if isinstance(fit, Decoder) else [
-        _split_windows(windows, rng, test_rng, k) for rng in (fit_rng, val_rng)
+    fit_sets = [] if evaluate_only else [
+        _split_windows(prep, rng, test_rng, plan.offset_ms) for rng in (fit_rng, val_rng)
     ]
-    s_te, x_te, y_te, t_te = _split_windows(windows, test_rng, test_rng, k, evaluate=True)
-    if s_te.size == 0 or (fit_sets and fit_sets[0][0].size == 0):
+    test_inputs, test_targets, x_te, y_te = _split_windows(prep, test_rng, test_rng, plan.offset_ms, evaluate=True)
+    if not test_inputs or (fit_sets and not fit_sets[0][0]):
         raise SplitError(f"session {session.id}: empty fit or test window set")
 
     decoder, report = fit, None
     if fit_sets:
-        (_, x_tr, y_tr, _), (_, x_va, y_va, _) = fit_sets
+        (*_, x_tr, y_tr), (*_, x_va, y_va) = fit_sets
         spec = replace(plan.decoder, n_channels=x_tr.shape[2], seed=seed)
         decoder, report = fit(spec, x_tr, y_tr, x_va, y_va)
     pred = decoder.predict_batch(x_te)
@@ -313,19 +306,17 @@ def _run_unit(
         model=decoder.spec.family,
         r=_safe_r(pred, y_te),
         r2=r_squared(pred, y_te),
-        n_test_windows=int(s_te.size),
+        n_test_windows=len(x_te),
         seed=seed,
         source_id=source_id,
     )
-    fit_spans = [_spans(f[0], f[3]) for f in fit_sets]
-    test_inputs, test_targets = _spans(s_te, t_te)
     hygiene = HygieneRecord(
         session_id=session.id,
         strategy=plan.strategy,
         test_start=test_rng.start,
         test_stop=test_rng.stop,
-        fit_inputs=(*norm_ranges, *(inputs for inputs, _ in fit_spans)),
-        fit_targets=tuple(targets for _, targets in fit_spans),
+        fit_inputs=(*norm_ranges, *(inputs for inputs, *_ in fit_sets)),
+        fit_targets=tuple(targets for _, targets, *_ in fit_sets),
         test_inputs=test_inputs,
         test_targets=test_targets,
     )
@@ -336,7 +327,6 @@ def _run_unit(
 def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str):
     """A unit that fits a fresh decoder, and its normalizer, on the session's
     own fit range, with seeds derived from ``cell_id``."""
-    ranges = strategy_ranges(plan.strategy, session.n_samples)
     cfg = replace(plan.train, shuffle_seed=derive_seed(plan.master_seed, session.id, cell_id, "shuffle"))
 
     def fit(spec, x, y, x_val, y_val):
@@ -344,8 +334,7 @@ def _train_unit(session: Session, plan: ExperimentPlan, cell_id: str):
             return fit_forest_decoder(spec, x, y), None
         return train(new_decoder(spec), x, y, x_val, y_val, cfg)
 
-    seed = derive_seed(plan.master_seed, session.id, cell_id, "init")
-    return _run_unit(session, plan, ranges, ranges[0], fit, seed)
+    return _run_unit(session, plan, fit, derive_seed(plan.master_seed, session.id, cell_id, "init"))
 
 
 def run_single_session(session: Session, plan: ExperimentPlan) -> SingleRunOutput:
@@ -360,9 +349,8 @@ def evaluate_saved(
     """Evaluate an already-trained decoder on a session's test segment. At
     offset 0 this reproduces the training-time result row bitwise: same
     preparation, windowing, metric code, and derived seed label."""
-    ranges = strategy_ranges("single_80", session.n_samples)
     seed = derive_seed(plan.master_seed, session.id, plan.cell_id, "init")
-    return _run_unit(session, plan, ranges, normalizer, decoder, seed).result
+    return _run_unit(session, plan, decoder, seed, normalizer).result
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +389,12 @@ def _transfer_unit(
     test segment, either as is under the source normalizer, or after
     refitting the normalizer and fine-tuning the head on the target's first
     10%."""
-    ranges = strategy_ranges(plan.strategy, target.n_samples)
     if not plan.strategy.startswith("finetune"):
         seed = derive_seed(plan.master_seed, target.id, plan.cell_id, "eval")
-        return _run_unit(target, plan, ranges, source_norm, decoder, seed, source_id)
+        return _run_unit(target, plan, decoder, seed, source_norm, source_id)
     seed = derive_seed(plan.master_seed, f"{source_id}->{target.id}", plan.cell_id, "finetune")
     cfg = replace(plan.train, freeze_body=True, shuffle_seed=seed)
-    return _run_unit(
-        target, plan, ranges, ranges[0], lambda spec, *data: fine_tune(decoder, *data, cfg), seed, source_id
-    )
+    return _run_unit(target, plan, lambda spec, *data: fine_tune(decoder, *data, cfg), seed, source_id=source_id)
 
 
 def _aggregate_per_target(pair_results: list[EvalResult], plan: ExperimentPlan) -> list[EvalResult]:

@@ -35,6 +35,7 @@ from . import dsp
 from .errors import (
     FormatError,
     IntegrityError,
+    OffsetError,
     ShapeError,
     SplitError,
     UnsupportedRateError,
@@ -433,7 +434,7 @@ def split_ranges(n_samples: int) -> tuple[range, range, range]:
     for name, seg in zip(("train", "val", "test"), segments):
         if 0 < len(seg) < WINDOW_LEN:
             raise SplitError(
-                f"session: {name} segment has {len(seg)} samples, "
+                f"{name} segment has {len(seg)} samples, "
                 f"shorter than one window ({WINDOW_LEN})"
             )
     return segments
@@ -485,10 +486,10 @@ def normalized_session(s: Session, norm: Normalizer) -> Session:
 
 def offset_samples_for(offset_ms: float) -> int:
     """The number of samples in ``offset_ms``, which must be a whole number
-    of :data:`STRIDE_MS` steps."""
+    of :data:`STRIDE_MS` steps (:class:`OffsetError` otherwise)."""
     k = offset_ms / STRIDE_MS
     if abs(k - round(k)) > 1e-9:
-        raise ValueError(f"{offset_ms} ms is not a whole number of {STRIDE_MS:g} ms samples")
+        raise OffsetError(f"{offset_ms} ms is not a whole number of {STRIDE_MS:g} ms samples")
     return int(round(k))
 
 

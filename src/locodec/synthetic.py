@@ -75,6 +75,7 @@ class FleetSpec:
             raise ValueError("duration too short for a single window")
         if self.lead_ms and self.encoding != "lead":
             raise ValueError("lead_ms is only meaningful with encoding='lead'")
+        offset_samples_for(self.lead_ms)  # an OffsetError, which is a ValueError
         if self.speed_tau_s <= 0:
             raise ValueError("speed_tau_s must be positive")
         if self.noise_scale < 0 or self.eight_hz_gain < 0:

@@ -6,7 +6,9 @@ live in the acceptance suite.
 """
 
 import json
+import re
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 from locodec.cli import entrypoint
 from locodec.decoders import load_state, save_state
 from locodec.protocols import EvalResult, results_to_csv_text
-from locodec.sessions import ingest_session
+from locodec.sessions import ingest_session, write_session
 
 from conftest import declare_200_hz
 
@@ -276,6 +278,30 @@ def test_eval_offset_flag_trims_windows(tmp_path):
     assert int(fields[9]) == int(row0.split(",")[9]) - 20
 
 
+def test_eval_at_an_offset_off_the_sample_grid_exits_2(tmp_path, capsys):
+    session, model = _trained_model(tmp_path)
+    capsys.readouterr()
+    assert entrypoint(["eval", str(model), str(session), "--offset-ms", "15"]) == 2
+    assert "error: 15 ms is not a whole number of 10 ms samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        ("experiment", dict(experiment__kind="offsets", experiment__offsets_ms="0,15"), "15 ms"),
+        ("experiment", dict(plan__offset_ms="15"), "15 ms"),
+        ("synth", dict(dataset__synthetic__encoding="lead", dataset__synthetic__lead_ms="15"), "15.0 ms"),
+    ],
+    ids=["experiment.offsets_ms", "plan.offset_ms", "dataset.synthetic.lead_ms"],
+)
+def test_a_configured_offset_off_the_sample_grid_exits_2(tmp_path, capsys, command, overrides, named):
+    cfg = write_cfg(tmp_path, **overrides)
+    capsys.readouterr()
+    assert entrypoint([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {named} is not a whole number of 10 ms samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_without_out_writes_the_row_to_stdout(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     fleet_dir, train_dir, out_csv = tmp_path / "fleet", tmp_path / "trained", tmp_path / "eval.csv"
@@ -310,6 +336,30 @@ def test_train_exits_2_unless_one_session_is_named(tmp_path, capsys):
     unknown = write_cfg(tmp_path, dataset__synthetic__sessions_per_rat="2", train__session="rat09_s01")
     assert entrypoint(["train", "--config", str(unknown), "--out", str(tmp_path / "b")]) == 2
     assert "'rat09_s01' not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_a_gate_that_keeps_no_session_exits_2(tmp_path, capsys, command):
+    # one session: the default threshold is its own speed IQR, which it fails
+    cfg = write_cfg(tmp_path, dataset__apply_gate="true")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert entrypoint([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"error: the inclusion gate retained no session \(1 excluded at threshold \d", err)
+    assert not (out / "results.csv").exists()
+
+
+def test_a_session_too_short_to_split_is_named(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, dataset__synthetic__sessions_per_rat="2")
+    fleet = tmp_path / "fleet"
+    assert entrypoint(["synth", "--config", str(cfg), "--out", str(fleet)]) == 0
+    s = ingest_session(fleet / "rat01_s02.bin")
+    write_session(replace(s, eeg=s.eeg[:, :150], speed=s.speed[:150]), fleet / "rat01_s02.bin")
+    disk = write_cfg(tmp_path, name="disk.cfg", dataset__synthetic="false", dataset__paths=f"{fleet}/*.bin")
+    capsys.readouterr()
+    assert entrypoint(["experiment", "--config", str(disk), "--out", str(tmp_path / "exp")]) == 1
+    assert "error: session rat01_s02: val segment has 15 samples" in capsys.readouterr().err
 
 
 def test_experiment_baseline_outputs_and_input_hygiene(tmp_path):
