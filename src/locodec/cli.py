@@ -29,7 +29,6 @@ from .errors import (
     UnsupportedRateError,
 )
 from .protocols import (
-    DEFAULT_OFFSETS_MS,
     ExperimentPlan,
     evaluate_saved,
     results_to_csv_text,
@@ -96,15 +95,15 @@ def _ingest_all(patterns) -> list[Session]:
 
 def _load_sessions(cfg: ResolvedRun):
     """Sessions per the dataset config, plus the gate outcome if gating."""
-    if cfg.use_synthetic:
+    if cfg.dataset.synthetic:
         sessions = generate_synthetic_fleet(cfg.fleet)
     else:
-        if not cfg.dataset_paths:
+        if not cfg.dataset.paths:
             raise ConfigError("dataset.paths is empty and dataset.synthetic is false")
-        sessions = _ingest_all(cfg.dataset_paths)
+        sessions = _ingest_all(cfg.dataset.paths)
     gate = None
-    if cfg.apply_gate:
-        gate = apply_inclusion_gate(sessions, threshold=cfg.iqr_threshold)
+    if cfg.dataset.apply_gate:
+        gate = apply_inclusion_gate(sessions, threshold=cfg.dataset.iqr_threshold)
         sessions = list(gate.included)
         if not sessions:
             n = len(gate.excluded)
@@ -148,7 +147,7 @@ def cmd_synth(args) -> int:
     # --seed also seeds the fleet, and config.resolved records it there
     fleet_seed = {} if args.seed is None else {"dataset.synthetic.seed": str(args.seed)}
     cfg = _resolve_from_args(args, fleet_seed)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.run.out_dir)
     fmt = args.format or "canonical_bin"
     sessions = generate_synthetic_fleet(cfg.fleet)
     _write_run_preamble(cfg, out_dir)
@@ -222,7 +221,7 @@ def cmd_train(args) -> int:
     else:
         raise ConfigError("dataset holds several sessions; set train.session to pick one")
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.run.out_dir)
     _write_run_preamble(cfg, out_dir)
     run = run_single_session(session, cfg.plan)
     meta = {
@@ -241,10 +240,10 @@ def cmd_train(args) -> int:
         _write_atomic(out_dir / f"{session.id}.report.jsonl", run.report.to_jsonl())
     _write_atomic(
         out_dir / "results.csv",
-        results_to_csv_text([run.result], cfg.config_hash, cfg.seed),
+        results_to_csv_text([run.result], cfg.config_hash, cfg.run.seed),
     )
     print(
-        f"trained {cfg.decoder.family} on {session.id}: "
+        f"trained {cfg.plan.decoder.family} on {session.id}: "
         f"r={run.result.r:.4f} r2={run.result.r2:.4f} -> {model_path}"
     )
     return 0
@@ -276,37 +275,37 @@ def cmd_eval(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = _resolve_from_args(args)
     sessions, gate = _load_sessions(cfg)
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(cfg.run.out_dir)
     _write_run_preamble(cfg, out_dir)
-    jobs = cfg.jobs
+    exp, jobs, seed = cfg.experiment, cfg.run.jobs, cfg.run.seed
 
-    if cfg.kind == "baseline":
+    if exp.kind == "baseline":
         out = run_baseline(sessions, cfg.plan, jobs=jobs)
-    elif cfg.kind == "transfer":
+    elif exp.kind == "transfer":
         out = run_transfer(sessions, cfg.plan, jobs=jobs)
-    elif cfg.kind == "regions":
-        out = run_region_analysis(sessions, cfg.plan, include_pairs=cfg.include_pairs, jobs=jobs)
-    elif cfg.kind == "bands":
-        out = run_band_analysis(sessions, cfg.plan, bands=cfg.bands, jobs=jobs)
+    elif exp.kind == "regions":
+        out = run_region_analysis(sessions, cfg.plan, include_pairs=exp.include_pairs, jobs=jobs)
+    elif exp.kind == "bands":
+        out = run_band_analysis(sessions, cfg.plan, bands=exp.bands, jobs=jobs)
     else:  # offsets; resolve admits no other kind
         out = run_offset_analysis(
             sessions,
             cfg.plan,
-            offsets_ms=cfg.offsets_ms or DEFAULT_OFFSETS_MS,
-            include_speed_rnn=cfg.include_speed_rnn,
-            include_autocorrelation=cfg.include_autocorrelation,
+            offsets_ms=exp.offsets_ms,
+            include_speed_rnn=exp.include_speed_rnn,
+            include_autocorrelation=exp.include_autocorrelation,
             jobs=jobs,
         )
 
     if gate is not None:
-        _write_atomic(out_dir / "gate_report.csv", _gate_report_text(gate, cfg.config_hash, cfg.seed))
-    _write_atomic(out_dir / "results.csv", results_to_csv_text(out.results, cfg.config_hash, cfg.seed))
+        _write_atomic(out_dir / "gate_report.csv", _gate_report_text(gate, cfg.config_hash, seed))
+    _write_atomic(out_dir / "results.csv", results_to_csv_text(out.results, cfg.config_hash, seed))
     _write_atomic(out_dir / "timings.csv", timings_to_csv_text(out.timings))
     if out.pairs:
         pairs = sorted(out.pairs, key=lambda r: (r.source_id, r.session_id))
         rows = ((r.source_id, r.session_id, r.r, r.r2, r.n_test_windows) for r in pairs)
         columns = ("source_id", "target_id", "r", "r2", "n_test_windows")
-        _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, cfg.seed))
+        _write_atomic(out_dir / "results_pairs.csv", table_text(columns, rows, cfg.config_hash, seed))
     if out.skipped:
         _write_atomic(out_dir / "skipped.csv", table_text(("session_id", "region_set"), out.skipped))
     if out.failures:
@@ -315,7 +314,7 @@ def cmd_experiment(args) -> int:
     if out.band_energies:
         columns = ("session_id", "band", "mean_channel_variance")
         _write_atomic(out_dir / "band_energies.csv", table_text(columns, out.band_energies))
-    print(f"{cfg.kind} experiment: {len(out.results)} result rows -> {out_dir / 'results.csv'}")
+    print(f"{exp.kind} experiment: {len(out.results)} result rows -> {out_dir / 'results.csv'}")
     return 0
 
 

@@ -2,12 +2,13 @@
 
 Config files are ``dotted.key = value`` lines (``#`` comments allowed).
 Every key is typed against a registry; unknown keys and duplicate keys are
-rejected so typos fail loudly. The keys of the fleet, decoder, trainer and
-plan sections are the fields of their spec dataclasses, so their types and
-defaults have one source. :func:`resolve` materializes all defaults
-into a :class:`ResolvedRun`, and the fully-resolved canonical text (written
-next to every run's outputs) hashes to the config_hash embedded in output
-files.
+rejected so typos fail loudly. Each key is ``<section>.<field>``, and the
+field of the section's spec dataclass (RunSettings, ExperimentSettings,
+DatasetSettings, FleetSpec, DecoderSpec, TrainConfig or ExperimentPlan)
+gives its type and default and checks its value; ``train.session`` is the
+one exception. :func:`resolve` builds the specs into a :class:`ResolvedRun`,
+and the fully-resolved canonical text (written next to every run's outputs)
+hashes to the config_hash embedded in output files.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ _PARSERS = {
     "int": _int,
     "float": _float,
     "str": _str,
+    "float | None": _opt_float,
     "int | None": _opt_int,
     "tuple[int, ...]": _int_tuple,
     "tuple[str, ...]": _str_tuple,
@@ -109,24 +111,50 @@ def _spec_keys(prefix: str, spec, filled=(), **defaults) -> dict[str, tuple]:
     }
 
 
-# key -> (parser, default); a config may say nothing else. Under the
-# prefixes dataset.synthetic., decoder., train. and plan. the rest of a key
-# is a field name of FleetSpec, DecoderSpec, TrainConfig or ExperimentPlan
-# (train.session excepted), and the field gives the key's default.
+@dataclass(frozen=True)
+class RunSettings:
+    out_dir: str = "runs/out"
+    seed: int = 0
+    jobs: int = 1
+
+
+@dataclass(frozen=True)
+class ExperimentSettings:
+    kind: str = "baseline"
+    offsets_ms: tuple[int, ...] = DEFAULT_OFFSETS_MS
+    bands: tuple[str, ...] = BAND_NAMES
+    include_pairs: bool = True
+    include_speed_rnn: bool = True
+    include_autocorrelation: bool = True
+
+    def __post_init__(self):
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ValueError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+        for name in ("bands", "offsets_ms"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"experiment.{name} must be non-empty with no value repeated, got {values}")
+        unknown = sorted(set(self.bands) - set(BAND_NAMES))
+        if unknown:
+            raise ValueError(f"experiment.bands has unknown bands {unknown}; known: {BAND_NAMES}")
+        for offset in self.offsets_ms:
+            offset_samples_for(offset)  # an offset off the sample grid is an input error
+
+
+@dataclass(frozen=True)
+class DatasetSettings:
+    paths: tuple[str, ...] = ()
+    apply_gate: bool = False
+    iqr_threshold: float | None = None
+    synthetic: bool = False
+
+
+# key -> (parser, default); a config may say nothing else. Every key but
+# train.session is a spec field (module docstring).
 REGISTRY: dict[str, tuple] = {
-    "run.out_dir": (_str, "runs/out"),
-    "run.seed": (_int, 0),
-    "run.jobs": (_int, 1),
-    "experiment.kind": (_str, "baseline"),
-    "experiment.offsets_ms": (_int_tuple, DEFAULT_OFFSETS_MS),
-    "experiment.bands": (_str_tuple, BAND_NAMES),
-    "experiment.include_pairs": (_bool, True),
-    "experiment.include_speed_rnn": (_bool, True),
-    "experiment.include_autocorrelation": (_bool, True),
-    "dataset.paths": (_str_tuple, ()),
-    "dataset.apply_gate": (_bool, False),
-    "dataset.iqr_threshold": (_opt_float, None),
-    "dataset.synthetic": (_bool, False),
+    **_spec_keys("run.", RunSettings),
+    **_spec_keys("experiment.", ExperimentSettings),
+    **_spec_keys("dataset.", DatasetSettings),
     **_spec_keys("dataset.synthetic.", FleetSpec),
     **_spec_keys("decoder.", DecoderSpec, ("n_channels", "seed"), family="lstm_rnn"),
     **_spec_keys("train.", TrainConfig, ("freeze_body", "shuffle_seed")),
@@ -169,23 +197,11 @@ def _render_value(value) -> str:
 @dataclass(frozen=True)
 class ResolvedRun:
     values: dict
-    kind: str
-    out_dir: str
-    seed: int
-    jobs: int
-    dataset_paths: tuple[str, ...]
-    use_synthetic: bool
+    run: RunSettings
+    experiment: ExperimentSettings
+    dataset: DatasetSettings
     fleet: FleetSpec
-    apply_gate: bool
-    iqr_threshold: float | None
-    decoder: DecoderSpec
-    train: TrainConfig
     plan: ExperimentPlan
-    offsets_ms: tuple[int, ...]
-    bands: tuple[str, ...]
-    include_pairs: bool
-    include_speed_rnn: bool
-    include_autocorrelation: bool
     train_session: str
 
     @property
@@ -208,8 +224,9 @@ class ResolvedRun:
 
 def _section(values: dict, prefix: str) -> dict:
     """Keyword arguments for one spec: the keys under ``prefix``, named by
-    the rest of the key, which is the spec's field name."""
-    return {key[len(prefix):]: value for key, value in values.items() if key.startswith(prefix)}
+    the rest of the key, which is the spec's field name. Keys of a nested
+    section (``dataset.synthetic.*`` under ``dataset.``) are not its own."""
+    return {key[len(prefix):]: value for key, value in values.items() if key.rpartition(".")[0] + "." == prefix}
 
 
 def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> ResolvedRun:
@@ -230,53 +247,38 @@ def resolve(raw: dict[str, str], overrides: dict[str, str] | None = None) -> Res
         else:
             values[key] = default
 
-    kind = values["experiment.kind"]
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {kind!r}")
     families = tuple(f for f in FAMILIES if f != "speed_rnn")  # speed_rnn is the speed-history reference
-    if values["decoder.family"] not in families:
-        raise ConfigError(f"decoder.family must be one of {families}")
-    if values["plan.strategy"] not in STRATEGIES:
-        raise ConfigError(f"plan.strategy must be one of {STRATEGIES}")
-    if values["plan.strategy"] not in KIND_STRATEGIES[kind]:
-        raise ConfigError(f"experiment.kind={kind} needs plan.strategy in {KIND_STRATEGIES[kind]}")
-    if values["plan.band"] not in BAND_NAMES:
-        raise ConfigError(f"plan.band must be one of {BAND_NAMES}")
-    for offset in values["experiment.offsets_ms"]:
-        offset_samples_for(offset)  # an OffsetError is a ConfigError
-
     try:
+        run = RunSettings(**_section(values, "run."))
+        experiment = ExperimentSettings(**_section(values, "experiment."))
+        dataset = DatasetSettings(**_section(values, "dataset."))
+        if values["decoder.family"] not in families:
+            raise ConfigError(f"decoder.family must be one of {families}")
+        if values["plan.strategy"] not in STRATEGIES:
+            raise ConfigError(f"plan.strategy must be one of {STRATEGIES}")
+        strategies = KIND_STRATEGIES[experiment.kind]
+        if values["plan.strategy"] not in strategies:
+            raise ConfigError(f"experiment.kind={experiment.kind} needs plan.strategy in {strategies}")
+        if values["plan.band"] not in BAND_NAMES:
+            raise ConfigError(f"plan.band must be one of {BAND_NAMES}")
         fleet = FleetSpec(**_section(values, "dataset.synthetic."))
         # fitting replaces n_channels with the prepared session's channel count
         decoder = DecoderSpec(**_section(values, "decoder."))
         train_args = _section(values, "train.")
         del train_args["session"]  # the session `locodec train` fits, not a training setting
-        train = TrainConfig(**train_args)
         plan = ExperimentPlan(
-            decoder=decoder, train=train, master_seed=values["run.seed"], **_section(values, "plan.")
+            decoder=decoder, train=TrainConfig(**train_args), master_seed=run.seed, **_section(values, "plan.")
         )
     except (ValueError, PlanError) as exc:
         raise ConfigError(str(exc))
 
     return ResolvedRun(
         values=values,
-        kind=kind,
-        out_dir=values["run.out_dir"],
-        seed=values["run.seed"],
-        jobs=values["run.jobs"],
-        dataset_paths=values["dataset.paths"],
-        use_synthetic=values["dataset.synthetic"],
+        run=run,
+        experiment=experiment,
+        dataset=dataset,
         fleet=fleet,
-        apply_gate=values["dataset.apply_gate"],
-        iqr_threshold=values["dataset.iqr_threshold"],
-        decoder=decoder,
-        train=train,
         plan=plan,
-        offsets_ms=values["experiment.offsets_ms"],
-        bands=values["experiment.bands"],
-        include_pairs=values["experiment.include_pairs"],
-        include_speed_rnn=values["experiment.include_speed_rnn"],
-        include_autocorrelation=values["experiment.include_autocorrelation"],
         train_session=values["train.session"],
     )
 

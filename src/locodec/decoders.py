@@ -104,24 +104,16 @@ def _glorot(rng, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _mlp_param_names(prefix: str, in_dim: int, hidden: tuple[int, ...]):
-    dims = [in_dim, *hidden, 1]
-    return [(f"{prefix}.w{i}", f"{prefix}.b{i}", dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-
-
 def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
+    """Fresh parameters: the family's body, then its head, drawn in that
+    order from one generator seeded by ``spec.seed``."""
     rng = np.random.default_rng(spec.seed)
     params: dict[str, np.ndarray] = {}
-    if spec.family == "linear":
-        params["head.w0"] = _glorot(rng, (spec.flat_dim, 1))
-        params["head.b0"] = np.zeros(1)
-    elif spec.family == "ffnn":
+    if spec.family == "ffnn":
         dims = [spec.flat_dim, *spec.ffnn_hidden]
         for i in range(len(dims) - 1):
             params[f"body.w{i}"] = _glorot(rng, (dims[i], dims[i + 1]))
             params[f"body.b{i}"] = np.zeros(dims[i + 1])
-        params["head.w0"] = _glorot(rng, (dims[-1], 1))
-        params["head.b0"] = np.zeros(1)
     elif spec.family in RECURRENT_FAMILIES:
         h = spec.lstm_hidden
         params["body.wx"] = _glorot(rng, (spec.n_channels, 4 * h))
@@ -129,10 +121,7 @@ def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # forget gate bias opens the memory path at init
         params["body.b"] = b
-        for name, bname, din, dout in _mlp_param_names("head", h, spec.head_hidden):
-            params[name] = _glorot(rng, (din, dout))
-            params[bname] = np.zeros(dout)
-    else:  # transformer_encoder; a random_forest decoder has no tensors to init
+    elif spec.family == "transformer_encoder":
         e = spec.embed_dim
         params["body.embed_w"] = _glorot(rng, (spec.n_channels, e))
         params["body.embed_b"] = np.zeros(e)
@@ -142,9 +131,11 @@ def _init_params(spec: DecoderSpec) -> dict[str, ad.Tensor]:
         limit = math.sqrt(6.0 / (CONV_KERNEL * e + e))
         params["body.conv_w"] = rng.uniform(-limit, limit, size=(CONV_KERNEL, e, e))
         params["body.conv_b"] = np.zeros(e)
-        for name, bname, din, dout in _mlp_param_names("head", e, spec.head_hidden):
-            params[name] = _glorot(rng, (din, dout))
-            params[bname] = np.zeros(dout)
+    # linear has no body; a random_forest decoder has no tensors to init
+    dims = [_head_width(spec), *_head_hidden(spec), 1]
+    for i in range(len(dims) - 1):
+        params[f"head.w{i}"] = _glorot(rng, (dims[i], dims[i + 1]))
+        params[f"head.b{i}"] = np.zeros(dims[i + 1])
     return {k: ad.parameter(v, k) for k, v in params.items()}
 
 
@@ -157,10 +148,10 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def _mlp_head(h: ad.Tensor, params, prefix: str, hidden: tuple[int, ...]) -> ad.Tensor:
+def _mlp_head(h: ad.Tensor, params, hidden: tuple[int, ...]) -> ad.Tensor:
     n_layers = len(hidden) + 1
     for i in range(n_layers):
-        h = ad.add(ad.matmul(h, params[f"{prefix}.w{i}"]), params[f"{prefix}.b{i}"])
+        h = ad.add(ad.matmul(h, params[f"head.w{i}"]), params[f"head.b{i}"])
         if i < n_layers - 1:
             h = ad.relu(h)
     return h
@@ -194,6 +185,11 @@ def _head_width(spec: DecoderSpec) -> int:
     if spec.family == "transformer_encoder":
         return spec.embed_dim
     return spec.flat_dim
+
+
+def _head_hidden(spec: DecoderSpec) -> tuple[int, ...]:
+    """Hidden widths of the family's head: none for flat families."""
+    return () if spec.family in FLAT_FAMILIES else spec.head_hidden
 
 
 def _window_input(spec: DecoderSpec, x):
@@ -314,8 +310,7 @@ class Decoder:
         ``x`` itself when it holds body rows. A graph back to the parameters
         when they need a gradient, a bare tensor when they are constants."""
         h = ad.constant(x.rows) if isinstance(x, BodyRows) else self._body(params, x)
-        hidden = () if self.spec.family in FLAT_FAMILIES else self.spec.head_hidden
-        return _mlp_head(h, params, "head", hidden)
+        return _mlp_head(h, params, _head_hidden(self.spec))
 
     def _constants(self) -> dict[str, ad.Tensor]:
         return {n: ad.constant(t.data) for n, t in self.params.items()}

@@ -302,6 +302,36 @@ def test_a_configured_offset_off_the_sample_grid_exits_2(tmp_path, capsys, comma
     assert not (tmp_path / "out").exists()
 
 
+LISTS_RULE = "must be non-empty with no value repeated"
+
+
+@pytest.mark.parametrize(
+    "overrides, complaint",
+    [
+        (dict(experiment__kind="bands", experiment__bands="theta,theta"), f"experiment.bands {LISTS_RULE}"),
+        (dict(experiment__kind="offsets", experiment__offsets_ms="0,0"), f"experiment.offsets_ms {LISTS_RULE}"),
+        (dict(experiment__kind="bands", experiment__bands=""), f"experiment.bands {LISTS_RULE}"),
+        (dict(experiment__kind="offsets", experiment__offsets_ms=""), f"experiment.offsets_ms {LISTS_RULE}"),
+        (dict(experiment__kind="bands", experiment__bands="nope"), "experiment.bands has unknown bands ['nope']"),
+    ],
+    ids=["repeated_band", "repeated_offset", "no_band", "no_offset", "unknown_band"],
+)
+def test_a_bad_experiment_list_exits_2_before_any_output(tmp_path, capsys, overrides, complaint):
+    # a repeated entry would run every unit twice, and an empty one nothing
+    # (bands) or the defaults that config.resolved does not record (offsets)
+    cfg = write_cfg(
+        tmp_path,
+        dataset__synthetic__n_rats="2",
+        dataset__synthetic__n_channels="4",
+        dataset__synthetic__duration_s="20.0",
+        **overrides,
+    )
+    capsys.readouterr()
+    assert entrypoint(["experiment", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {complaint}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_without_out_writes_the_row_to_stdout(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     fleet_dir, train_dir, out_csv = tmp_path / "fleet", tmp_path / "trained", tmp_path / "eval.csv"

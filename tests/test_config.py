@@ -1,6 +1,7 @@
 """Config parsing, typed resolution, and hash stability."""
 
 from dataclasses import fields
+from operator import attrgetter
 
 import pytest
 
@@ -8,6 +9,10 @@ from locodec.config import (
     EXPERIMENT_KINDS,
     KIND_STRATEGIES,
     REGISTRY,
+    DatasetSettings,
+    ExperimentSettings,
+    ResolvedRun,
+    RunSettings,
     load_config,
     parse_config_text,
     resolve,
@@ -35,14 +40,14 @@ plan.band = theta
 
 def test_parse_and_resolve_good_config():
     cfg = resolve(parse_config_text(GOOD))
-    assert cfg.seed == 42
-    assert cfg.kind == "bands"
-    assert cfg.use_synthetic is True
+    assert cfg.run.seed == 42
+    assert cfg.experiment.kind == "bands"
+    assert cfg.dataset.synthetic is True
     assert cfg.fleet.encoding == "am"
     assert cfg.fleet.carrier_band == (5.0, 7.0)
-    assert cfg.decoder.family == "ffnn"
-    assert cfg.decoder.ffnn_hidden == (128, 32)
-    assert cfg.train.learning_rate == 2e-3
+    assert cfg.plan.decoder.family == "ffnn"
+    assert cfg.plan.decoder.ffnn_hidden == (128, 32)
+    assert cfg.plan.train.learning_rate == 2e-3
     assert cfg.plan.band == "theta"
     assert cfg.plan.master_seed == 42
 
@@ -50,26 +55,64 @@ def test_parse_and_resolve_good_config():
 def test_defaults_fill_every_key():
     cfg = resolve({})
     assert set(cfg.values) == set(REGISTRY)
-    assert cfg.kind == "baseline"
-    assert cfg.jobs == 1
+    assert cfg.experiment.kind == "baseline"
+    assert cfg.run.jobs == 1
     assert cfg.plan.strategy == "single_80"
-    assert cfg.decoder.family == "lstm_rnn"
-    assert cfg.train.max_epochs == 60
+    assert cfg.plan.decoder.family == "lstm_rnn"
+    assert cfg.plan.train.max_epochs == 60
 
 
 @pytest.mark.parametrize(
     "attr,spec",
     [
         ("fleet", FleetSpec()),
-        ("decoder", DecoderSpec(family="lstm_rnn")),
-        ("train", TrainConfig()),
+        ("plan.decoder", DecoderSpec(family="lstm_rnn")),
+        ("plan.train", TrainConfig()),
         ("plan", ExperimentPlan(decoder=DecoderSpec(family="lstm_rnn"))),
+        ("run", RunSettings()),
+        ("experiment", ExperimentSettings()),
+        ("dataset", DatasetSettings()),
     ],
+    ids=lambda v: v.rpartition(".")[2] if isinstance(v, str) else None,
 )
 def test_an_empty_config_builds_the_default_specs(attr, spec):
-    built = getattr(resolve({}), attr)
+    built = attrgetter(attr)(resolve({}))
     for f in fields(spec):
         assert getattr(built, f.name) == getattr(spec, f.name), f.name
+
+
+# config section -> the ResolvedRun attribute of its spec
+SECTION_SPECS = {
+    "run": "run",
+    "experiment": "experiment",
+    "dataset": "dataset",
+    "dataset.synthetic": "fleet",
+    "decoder": "plan.decoder",
+    "train": "plan.train",
+    "plan": "plan",
+}
+
+
+def test_a_resolved_run_holds_specs_and_mirrors_no_key():
+    assert [f.name for f in fields(ResolvedRun)] == [
+        "values", "run", "experiment", "dataset", "fleet", "plan", "train_session"
+    ]
+
+
+def test_every_key_reads_back_through_one_spec_attribute():
+    cfg = resolve(parse_config_text(GOOD + "dataset.iqr_threshold = 0.46\nexperiment.bands = theta,beta\n"))
+    for key in REGISTRY:
+        section, _, name = key.rpartition(".")
+        if key == "train.session":  # the one key that is not a spec field
+            assert cfg.train_session == cfg.values[key]
+            continue
+        assert getattr(attrgetter(SECTION_SPECS[section])(cfg), name) == cfg.values[key], key
+
+
+def test_config_identity_is_pinned():
+    # a renamed key, a changed default or a changed rendering moves these
+    assert resolve({}).config_hash == "e87c65a42a69f9a5"
+    assert resolve(parse_config_text(GOOD)).config_hash == "e6cdfb2320f82034"
 
 
 @pytest.mark.parametrize(
@@ -144,7 +187,7 @@ def test_nested_spec_errors_become_config_errors():
 def test_overrides_beat_file_values():
     raw = parse_config_text("run.seed = 1\nplan.band = theta\n")
     cfg = resolve(raw, overrides={"run.seed": "7"})
-    assert cfg.seed == 7
+    assert cfg.run.seed == 7
     assert cfg.plan.band == "theta"
     with pytest.raises(ConfigError, match="override"):
         resolve(raw, overrides={"not.a.key": "1"})
@@ -182,10 +225,10 @@ def test_speed_rnn_family_is_rejected():
 
 def test_optional_values_parse_none():
     cfg = resolve({"dataset.iqr_threshold": "none", "decoder.max_depth": "none"})
-    assert cfg.iqr_threshold is None
-    assert cfg.decoder.max_depth is None
+    assert cfg.dataset.iqr_threshold is None
+    assert cfg.plan.decoder.max_depth is None
     cfg2 = resolve({"dataset.iqr_threshold": "0.46"})
-    assert cfg2.iqr_threshold == 0.46
+    assert cfg2.dataset.iqr_threshold == 0.46
 
 
 def test_load_config_reports_origin(tmp_path):

@@ -268,6 +268,28 @@ def test_partition_is_exhaustive_and_disjoint():
             assert body
 
 
+# sha256 prefixes of fresh decoders (seed 7): each family draws its body,
+# then its head, from one generator; flat families ignore head_hidden
+FRESH_CHECKSUMS = {
+    ("linear", (4,)): "84acb444d11fee89",
+    ("linear", (6, 3)): "84acb444d11fee89",
+    ("ffnn", (4,)): "ecdd935f0e3e528c",
+    ("ffnn", (6, 3)): "ecdd935f0e3e528c",
+    ("lstm_rnn", (4,)): "d4806ec0980cfc8d",
+    ("lstm_rnn", (6, 3)): "3d1fbcc78028c39e",
+    ("transformer_encoder", (4,)): "d4f4be4ab226cf08",
+    ("transformer_encoder", (6, 3)): "1f5708fc2e1a9bb6",
+    ("speed_rnn", (4,)): "d1da03d85f07a437",
+    ("speed_rnn", (6, 3)): "fbe163bbab3ddb38",
+}
+
+
+@pytest.mark.parametrize("family, head_hidden", sorted(FRESH_CHECKSUMS))
+def test_fresh_decoder_parameters_are_pinned(family, head_hidden):
+    d = dec.new_decoder(replace(SMALL[family], head_hidden=head_hidden, seed=7))
+    assert d.checksum()[:16] == FRESH_CHECKSUMS[family, head_hidden]
+
+
 # ---------------------------------------------------------------------------
 # model files
 # ---------------------------------------------------------------------------
